@@ -43,18 +43,6 @@ std::uint64_t PlanFingerprint(const CoveragePlan& plan) {
   return h;
 }
 
-/// The planner's algorithm run directly on `oracle` (a TimingOracle or the
-/// service's BitmapCoverage), so a replay can wrap the oracle layer.
-std::vector<Pattern> Search(MupAlgorithm algorithm, const CoverageOracle& oracle,
-                            const Schema& schema,
-                            const MupSearchOptions& options,
-                            MupSearchStats* stats) {
-  if (algorithm == MupAlgorithm::kPatternBreaker) {
-    return FindMupsPatternBreaker(oracle, schema, options, stats);
-  }
-  return FindMupsDeepDiver(oracle, schema, options, stats);
-}
-
 template <typename F>
 double MedianMillis(int reps, F&& f) {
   std::vector<double> ms;
@@ -77,10 +65,9 @@ PhaseResult RunAudit(const Config& config, double budget, bool traced, Ops& ops,
   ServiceOptions options;
   options.num_threads = config.threads;
 
-  // Set-up: index all three datasets, several times; the median is reported.
-  std::vector<double> setups;
+  // Set-up: index all three datasets.
   std::vector<CoverageService> services;
-  for (int rep = 0; rep < SetupReps(config); ++rep) {
+  const std::vector<double> setups = RepeatSetUp(config, [&] {
     services.clear();
     const double start = NowSeconds();
     for (const Kind& kind : kinds) {
@@ -88,8 +75,8 @@ PhaseResult RunAudit(const Config& config, double budget, bool traced, Ops& ops,
       if (!service.ok()) Die("audit set-up: " + service.status().ToString());
       services.push_back(std::move(*service));
     }
-    setups.push_back(NowSeconds() - start);
-  }
+    return NowSeconds() - start;
+  });
 
   // The loop: whole passes until the budget is spent.
   std::array<std::vector<double>, 3> audit_ms, search_ms;

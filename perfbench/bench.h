@@ -1,6 +1,7 @@
 // Shared pieces of the repository benchmark: metric maps, sample
-// statistics, the in-memory span log, the timing oracle wrapper, and the
-// per-phase entry points. See perfbench/README.md for the workloads.
+// statistics, the in-memory span log, the timing oracle wrapper, the probes
+// and replays several phases share, and the per-phase entry points. See
+// perfbench/README.md for the workloads.
 
 #ifndef PERFBENCH_BENCH_H_
 #define PERFBENCH_BENCH_H_
@@ -14,7 +15,9 @@
 
 #include "coverage/bitmap_coverage.h"
 #include "coverage/coverage_oracle.h"
+#include "mups/mups.h"
 #include "pattern/pattern.h"
+#include "service/coverage_service.h"
 
 namespace perfbench {
 
@@ -119,6 +122,25 @@ class TimingOracle : public coverage::CoverageOracle {
   mutable double sampled_seconds_ = 0.0;
 };
 
+/// The planner's `algorithm` run directly on `oracle` (a TimingOracle or a
+/// service's BitmapCoverage), so a replay can wrap the oracle layer.
+std::vector<coverage::Pattern> Search(coverage::MupAlgorithm algorithm,
+                                      const coverage::CoverageOracle& oracle,
+                                      const coverage::Schema& schema,
+                                      const coverage::MupSearchOptions& options,
+                                      coverage::MupSearchStats* stats = nullptr);
+
+/// `count` seeded batches of 16 probes at levels 1-3 over `schema`,
+/// alternating exact (tau 0) and threshold (`tau`) probes.
+std::vector<coverage::QueryBatchRequest> ProbeBatches(
+    const coverage::Schema& schema, std::uint64_t seed, int count,
+    std::uint64_t tau);
+
+/// Oracle time of one of `batches` in µs: every probe replayed serially
+/// through a TimingOracle over `index`.
+double OracleUsPerBatch(const coverage::BitmapCoverage& index,
+                        const std::vector<coverage::QueryBatchRequest>& batches);
+
 /// Self time per layer (milliseconds), keyed by module name. Every phase
 /// reports the same key set so layer sums line up across workloads.
 extern const std::vector<std::string> kLayers;
@@ -149,9 +171,27 @@ struct Config {
   bool companion = false;
 };
 
-/// Set-ups per run: the named workload sets up several times and reports
-/// the median.
-inline int SetupReps(const Config& config) { return config.companion ? 1 : 5; }
+/// Set-up is repeated and its median reported. A companion sets up once;
+/// the named workload at least kMinSetUps times and until kSetUpSeconds of
+/// set-up have been timed, at most kMaxSetUps times, so that a set-up of a
+/// few milliseconds is sampled across more than a second of machine noise.
+constexpr int kMinSetUps = 5;
+constexpr int kMaxSetUps = 200;
+constexpr double kSetUpSeconds = 1.5;
+
+/// Calls `set_up`, which returns the seconds it timed, as often as the rule
+/// above asks, and returns those samples.
+template <typename F>
+std::vector<double> RepeatSetUp(const Config& config, F&& set_up) {
+  std::vector<double> samples;
+  double timed = 0.0;
+  do {
+    samples.push_back(set_up());
+    timed += samples.back();
+  } while (!config.companion && static_cast<int>(samples.size()) < kMaxSetUps &&
+           (static_cast<int>(samples.size()) < kMinSetUps || timed < kSetUpSeconds));
+  return samples;
+}
 
 /// What one phase measured: end-to-end metrics (untraced) or per-layer
 /// metrics (traced), plus the primary latency the tracing overhead is

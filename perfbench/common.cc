@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "bench.h"
+#include "common/rng.h"
 #include "server/json.h"
 
 namespace perfbench {
@@ -133,6 +134,55 @@ double TimingOracle::EstimatedSeconds() const {
   if (sampled_ == 0) return 0.0;
   return sampled_seconds_ * static_cast<double>(queries_) /
          static_cast<double>(sampled_);
+}
+
+std::vector<coverage::Pattern> Search(coverage::MupAlgorithm algorithm,
+                                      const coverage::CoverageOracle& oracle,
+                                      const coverage::Schema& schema,
+                                      const coverage::MupSearchOptions& options,
+                                      coverage::MupSearchStats* stats) {
+  if (algorithm == coverage::MupAlgorithm::kPatternBreaker) {
+    return coverage::FindMupsPatternBreaker(oracle, schema, options, stats);
+  }
+  return coverage::FindMupsDeepDiver(oracle, schema, options, stats);
+}
+
+std::vector<coverage::QueryBatchRequest> ProbeBatches(
+    const coverage::Schema& schema, std::uint64_t seed, int count,
+    std::uint64_t tau) {
+  coverage::Rng rng(seed);
+  const int dims = schema.num_attributes();
+  std::vector<coverage::QueryBatchRequest> batches(static_cast<std::size_t>(count));
+  for (coverage::QueryBatchRequest& batch : batches) {
+    for (int i = 0; i < 16; ++i) {
+      std::vector<coverage::Value> cells(static_cast<std::size_t>(dims),
+                                         coverage::kWildcard);
+      const int level = static_cast<int>(rng.NextInt(1, 3));
+      for (int j = 0; j < level; ++j) {
+        const int attr = static_cast<int>(rng.NextInt(0, dims - 1));
+        cells[static_cast<std::size_t>(attr)] = static_cast<coverage::Value>(
+            rng.NextInt(0, schema.cardinality(attr) - 1));
+      }
+      batch.queries.push_back({coverage::Pattern(cells), i % 2 == 0 ? 0 : tau});
+    }
+  }
+  return batches;
+}
+
+double OracleUsPerBatch(const coverage::BitmapCoverage& index,
+                        const std::vector<coverage::QueryBatchRequest>& batches) {
+  TimingOracle oracle(index);
+  coverage::QueryContext ctx;
+  for (const coverage::QueryBatchRequest& batch : batches) {
+    for (const coverage::QueryRequest& q : batch.queries) {
+      if (q.tau == 0) {
+        (void)oracle.Coverage(q.pattern, ctx);
+      } else {
+        (void)oracle.CoverageAtLeast(q.pattern, q.tau, ctx);
+      }
+    }
+  }
+  return oracle.EstimatedSeconds() * 1e6 / static_cast<double>(batches.size());
 }
 
 const std::vector<std::string> kLayers = {

@@ -7,8 +7,9 @@
 // "metrics"}. With --trace 0 the metrics are the end-to-end set, with
 // --trace 1 the per-layer set (see perfbench/README.md). Every workload
 // reports every metric: the named workload's phase runs for --seconds, and
-// a metric it does not measure comes from a short companion run of the
-// first phase that does, in the order audit, stream, serve.
+// a metric it does not measure comes from a companion run, also for
+// --seconds, of the first phase that does, in the order audit, stream,
+// serve.
 
 #include <algorithm>
 #include <filesystem>
@@ -23,10 +24,6 @@ namespace perfbench {
 namespace {
 
 using coverage::json::JsonValue;
-
-// Companion phases run at a fixed short budget (each phase also has a
-// minimum amount of work it always does).
-constexpr double kCompanionSeconds = 3.0;
 
 const std::vector<std::string> kEndToEnd = {
     "setup_s",        "peak_rss_mib",      "audit_dense_ms",    "audit_highcard_ms",
@@ -104,7 +101,7 @@ int Main(int argc, char** argv) {
           kEndToEnd.begin(), kEndToEnd.end(),
           [&](const std::string& m) { return !metrics.contains(m); });
       if (!needed || name == config.workload) continue;
-      Merge(Phases().at(name)(companion, kCompanionSeconds, false, ops, spans).metrics,
+      Merge(Phases().at(name)(companion, config.seconds,false, ops, spans).metrics,
             &metrics);
     }
     for (const std::string& name : kEndToEnd) {
@@ -125,7 +122,7 @@ int Main(int argc, char** argv) {
         untraced > 0 ? (traced.primary - untraced) / untraced * 100.0 : 0.0, "%"};
     for (const char* name : {"audit", "stream", "serve", "cluster"}) {
       if (name == config.workload) continue;
-      Merge(Phases().at(name)(companion, kCompanionSeconds, true, ops, spans).metrics,
+      Merge(Phases().at(name)(companion, config.seconds,true, ops, spans).metrics,
             &metrics);
     }
     double mismatches = 0;

@@ -59,11 +59,17 @@ def main():
     args = parser.parse_args()
 
     binary = build()
-    done = subprocess.run(
-        [binary, "--workload", args.workload, "--seed", str(args.seed),
-         "--seconds", str(args.seconds), "--trace", str(args.trace),
-         "--out-dir", OUT_DIR],
-        cwd=ROOT, timeout=170)
+    # A traced run measures five phases for --seconds each, plus set-ups,
+    # replays and checks; a run still going well past that is hung.
+    timeout = 60 + 12 * args.seconds
+    try:
+        done = subprocess.run(
+            [binary, "--workload", args.workload, "--seed", str(args.seed),
+             "--seconds", str(args.seconds), "--trace", str(args.trace),
+             "--out-dir", OUT_DIR],
+            cwd=ROOT, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        fail("no result after %d seconds" % timeout)
     sys.exit(done.returncode)
 
 

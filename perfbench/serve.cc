@@ -20,7 +20,6 @@
 #include "cluster/coordinator.h"
 #include "cluster/distributed_audit.h"
 #include "cluster/shard_backend.h"
-#include "common/rng.h"
 #include "datagen/airbnb.h"
 #include "mups/mups.h"
 #include "server/coverage_server.h"
@@ -55,24 +54,16 @@ const std::string kAuditBody = "{\"tau\": " + std::to_string(kTau) +
                                ", \"max_level\": " + std::to_string(kAuditLevel) +
                                "}";
 
-/// Seeded 16-probe batches, alternating exact (tau 0) and threshold probes.
-std::vector<std::string> QueryBodies(const Schema& schema, std::uint64_t seed) {
-  Rng rng(seed);
+/// The /v1/query body of each probe batch.
+std::vector<std::string> QueryBodies(const std::vector<QueryBatchRequest>& probes) {
   std::vector<std::string> bodies;
-  for (int b = 0; b < kBodies; ++b) {
+  for (const QueryBatchRequest& batch : probes) {
     JsonValue::Array queries;
-    for (int i = 0; i < 16; ++i) {
-      std::vector<Value> cells(static_cast<std::size_t>(kDims), kWildcard);
-      const int level = static_cast<int>(rng.NextInt(1, 3));
-      for (int j = 0; j < level; ++j) {
-        const int attr = static_cast<int>(rng.NextInt(0, kDims - 1));
-        cells[static_cast<std::size_t>(attr)] =
-            static_cast<Value>(rng.NextInt(0, schema.cardinality(attr) - 1));
-      }
-      JsonValue::Object q;
-      q["pattern"] = Pattern(cells).ToString();
-      q["tau"] = i % 2 == 0 ? std::uint64_t{0} : kTau;
-      queries.push_back(std::move(q));
+    for (const QueryRequest& q : batch.queries) {
+      JsonValue::Object o;
+      o["pattern"] = q.pattern.ToString();
+      o["tau"] = q.tau;
+      queries.push_back(std::move(o));
     }
     JsonValue::Object o;
     o["queries"] = std::move(queries);
@@ -221,24 +212,22 @@ std::set<std::string> PatternStrings(const std::vector<Pattern>& mups) {
   return out;
 }
 
-/// Checks the loop's sampled answers against direct computation on
-/// `reference` (a single node over all rows).
-void CheckAnswers(const Load& load, const std::vector<std::string>& query_bodies,
+/// Checks the loop's sampled answers to `probes` against direct computation
+/// on `reference` (a single node over all rows).
+void CheckAnswers(const Load& load, const std::vector<QueryBatchRequest>& probes,
                   const CoverageService& reference, Ops& ops) {
   const Schema& schema = reference.schema();
   QueryContext ctx;
   for (const auto& [index, body] : load.query_answers) {
-    auto request = wire::QueryBatchRequestFromJson(
-        *json::Parse(query_bodies[static_cast<std::size_t>(index)]), schema);
+    const QueryBatchRequest& request = probes[static_cast<std::size_t>(index)];
     auto answer = json::Parse(body);
     const JsonValue* results = answer.ok() ? answer->Find("results") : nullptr;
-    if (!request.ok() || results == nullptr ||
-        results->AsArray().size() != request->queries.size()) {
+    if (results == nullptr || results->AsArray().size() != request.queries.size()) {
       ops.Fail("query answer malformed");
       continue;
     }
-    for (std::size_t i = 0; i < request->queries.size(); ++i) {
-      const QueryRequest& q = request->queries[i];
+    for (std::size_t i = 0; i < request.queries.size(); ++i) {
+      const QueryRequest& q = request.queries[i];
       const std::uint64_t count = reference.oracle().Coverage(q.pattern, ctx);
       const JsonValue& got = results->AsArray()[i];
       const std::uint64_t coverage =
@@ -300,24 +289,6 @@ double TimeUs(F&& f) {
   return (NowSeconds() - start) * 1e6;
 }
 
-/// Oracle time of one query batch body, estimated through a TimingOracle.
-double OracleUsPerBatch(const BitmapCoverage& index,
-                        const std::vector<std::string>& bodies) {
-  TimingOracle oracle(index);
-  QueryContext ctx;
-  for (const std::string& body : bodies) {
-    auto request = wire::QueryBatchRequestFromJson(*json::Parse(body), index.data().schema());
-    for (const QueryRequest& q : request->queries) {
-      if (q.tau == 0) {
-        (void)oracle.Coverage(q.pattern, ctx);
-      } else {
-        (void)oracle.CoverageAtLeast(q.pattern, q.tau, ctx);
-      }
-    }
-  }
-  return oracle.EstimatedSeconds() * 1e6 / static_cast<double>(bodies.size());
-}
-
 /// Serial capped audit through a TimingOracle: the oracle's share of search.
 double CappedAuditOracleShare(const CoverageService& service) {
   MupSearchOptions search;
@@ -326,11 +297,7 @@ double CappedAuditOracleShare(const CoverageService& service) {
   const PlannerDecision decision = PlanMupSearch(service.data(), search);
   TimingOracle oracle(service.oracle());
   const double start = NowSeconds();
-  if (decision.algorithm == MupAlgorithm::kPatternBreaker) {
-    FindMupsPatternBreaker(oracle, service.schema(), search);
-  } else {
-    FindMupsDeepDiver(oracle, service.schema(), search);
-  }
+  Search(decision.algorithm, oracle, service.schema(), search);
   const double seconds = NowSeconds() - start;
   return seconds > 0 ? oracle.EstimatedSeconds() / seconds : 0.0;
 }
@@ -341,7 +308,9 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
                      SpanLog& spans) {
   const Dataset data = datagen::MakeAirbnb(kRows, kDims, config.seed);
   const Schema& schema = data.schema();
-  const std::vector<std::string> query_bodies = QueryBodies(schema, config.seed + 3);
+  const std::vector<QueryBatchRequest> probes =
+      ProbeBatches(schema, config.seed + 3, kBodies, kTau);
+  const std::vector<std::string> query_bodies = QueryBodies(probes);
   const Dataset append_pool =
       datagen::MakeAirbnb(kAppendRows * kBodies, kDims, config.seed + 4);
   const std::vector<std::string> append_bodies = AppendBodies(append_pool, kAppendRows);
@@ -358,8 +327,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
   // Set-up: index, start the server, open the append session.
   std::unique_ptr<CoverageServer> server;
   std::string append_target;
-  std::vector<double> setups;
-  for (int rep = 0; rep < SetupReps(config); ++rep) {
+  const std::vector<double> setups = RepeatSetUp(config, [&] {
     if (server) server->Stop();
     server.reset();
     const double start = NowSeconds();
@@ -384,8 +352,8 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
         Die("serve session fill failed");
       }
     }
-    setups.push_back(NowSeconds() - start);
-  }
+    return NowSeconds() - start;
+  });
 
   std::vector<ConnectionPlan> plans;
   // Half the cores: client threads plus the server's handlers then fit the
@@ -396,7 +364,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
   const Load load = RunLoop(server->port(), plans, budget, query_bodies,
                             append_bodies, append_target, ops);
   const JsonValue stats = GetStats(server->port());
-  CheckAnswers(load, query_bodies, server->service(), ops);
+  CheckAnswers(load, probes, server->service(), ops);
 
   PhaseResult out;
   out.primary = Median(load.query_us);
@@ -421,8 +389,8 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
   std::map<std::string, std::vector<double>> t1, t2, t3, inner;
   AuditResult direct_audit;
   for (int i = 0; i < 8 * kBodies; ++i) {
-    const std::string& body = query_bodies[static_cast<std::size_t>(i) % query_bodies.size()];
-    auto request = wire::QueryBatchRequestFromJson(*json::Parse(body), schema);
+    const std::size_t index = static_cast<std::size_t>(i) % probes.size();
+    const std::string& body = query_bodies[index];
     const std::uint64_t id = spans.NextRequest();
     double a = NowSeconds();
     (void)client->Roundtrip(Post("/v1/query", body, false));
@@ -435,7 +403,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
     const int handle = spans.Add("server.handle.query", id, root, a, b);
     t2["query"].push_back((b - a) * 1e6);
     a = NowSeconds();
-    (void)service.QueryBatch(*request);
+    (void)service.QueryBatch(probes[index]);
     b = NowSeconds();
     spans.Add("service.query", id, handle, a, b);
     t3["query"].push_back((b - a) * 1e6);
@@ -496,7 +464,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
     t2["append"].push_back(handler * 1e6);
     t3["append"].push_back(engine * 1e6);
   }
-  const double oracle_us = OracleUsPerBatch(service.oracle(), query_bodies);
+  const double oracle_us = OracleUsPerBatch(service.oracle(), probes);
   const double audit_share = CappedAuditOracleShare(service);
 
   std::map<std::string, double> route_us, transport_us, direct_us;
@@ -570,7 +538,9 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
                        Ops& ops, SpanLog& spans) {
   const Dataset data = datagen::MakeAirbnb(kRows, kDims, config.seed);
   const Schema& schema = data.schema();
-  const std::vector<std::string> query_bodies = QueryBodies(schema, config.seed + 3);
+  const std::vector<QueryBatchRequest> probes =
+      ProbeBatches(schema, config.seed + 3, kBodies, kTau);
+  const std::vector<std::string> query_bodies = QueryBodies(probes);
   std::vector<Dataset> slices(kShards, Dataset(schema));
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
     slices[r % kShards].AppendRow(data.row(r));
@@ -582,14 +552,13 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
   // (which fetches and compares every shard's schema).
   std::vector<std::unique_ptr<CoverageServer>> shards;
   std::unique_ptr<cluster::ClusterCoordinator> coordinator;
-  std::vector<double> setups;
   auto stop_all = [&] {
     if (coordinator) coordinator->Stop();
     coordinator.reset();
     for (auto& shard : shards) shard->Stop();
     shards.clear();
   };
-  for (int rep = 0; rep < SetupReps(config); ++rep) {
+  const std::vector<double> setups = RepeatSetUp(config, [&] {
     stop_all();
     const double start = NowSeconds();
     std::vector<std::string> endpoints;
@@ -611,15 +580,15 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
     coordinator = std::make_unique<cluster::ClusterCoordinator>(options);
     const Status started = coordinator->Start();
     if (!started.ok()) Die("coordinator start: " + started.ToString());
-    setups.push_back(NowSeconds() - start);
-  }
+    return NowSeconds() - start;
+  });
 
   const std::vector<ConnectionPlan> plans = {{true, false, 0}, {false, false, 0}};
   const Load load =
       RunLoop(coordinator->port(), plans, budget, query_bodies, {}, "", ops);
   auto reference = CoverageService::FromDataset(data, service_options);
   if (!reference.ok()) Die("reference: " + reference.status().ToString());
-  CheckAnswers(load, query_bodies, *reference, ops);
+  CheckAnswers(load, probes, *reference, ops);
 
   PhaseResult out;
   out.primary = Median(load.query_us);
@@ -677,10 +646,10 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
   }
   std::vector<double> q1, q2, q3;
   for (int i = 0; i < 4 * kBodies; ++i) {
-    const std::string& body = query_bodies[static_cast<std::size_t>(i) % query_bodies.size()];
-    auto request = wire::QueryBatchRequestFromJson(*json::Parse(body), schema);
+    const std::size_t index = static_cast<std::size_t>(i) % probes.size();
+    const std::string& body = query_bodies[index];
     std::vector<Pattern> patterns;
-    for (const QueryRequest& q : request->queries) patterns.push_back(q.pattern);
+    for (const QueryRequest& q : probes[index].queries) patterns.push_back(q.pattern);
     q1.push_back(TimeUs([&] { (void)client->Roundtrip(Post("/v1/query", body, false)); }));
     q2.push_back(TimeUs([&] { (void)coordinator->Handle(Post("/v1/query", body, false)); }));
     double slowest = 0.0;
@@ -725,8 +694,7 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
   // service + coverage on the shard (the kernel share from a serial
   // replay); an audit into net, cluster (RPCs + coordinator BFS) and mups
   // (the shards' candidate searches).
-  const double oracle_us =
-      OracleUsPerBatch(locals[0]->service().oracle(), query_bodies);
+  const double oracle_us = OracleUsPerBatch(locals[0]->service().oracle(), probes);
   const double handle_q = Median(q2), shard_q = Median(q3);
   const double audit_handle = Median(http_ms), candidates = Median(candidates_ms);
   SelfTimes self = EmptySelfTimes();

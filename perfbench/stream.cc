@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "bench.h"
-#include "common/rng.h"
 #include "datagen/airbnb.h"
 #include "mups/mups.h"
 #include "obs/metrics.h"
@@ -38,6 +37,7 @@ constexpr int kTailEpochs = 20;
 constexpr int kCountEpochs = 100;  // counters cover a fixed epoch prefix
 constexpr int kRecoverReps = 5;
 constexpr int kSampleEvery = 4;    // traced relation-copy / index replays
+static_assert(kMaxEpochs >= kMinEpochs + kTailEpochs);
 
 using Row = std::vector<Value>;
 
@@ -89,25 +89,6 @@ class WindowModel {
   std::size_t rows_ = 0;
 };
 
-std::vector<QueryBatchRequest> MakeProbeBatches(const Schema& schema,
-                                                std::uint64_t seed, int count) {
-  Rng rng(seed);
-  std::vector<QueryBatchRequest> batches(static_cast<std::size_t>(count));
-  for (QueryBatchRequest& batch : batches) {
-    for (int i = 0; i < 16; ++i) {
-      std::vector<Value> cells(static_cast<std::size_t>(kDims), kWildcard);
-      const int level = static_cast<int>(rng.NextInt(1, 3));
-      for (int j = 0; j < level; ++j) {
-        const int attr = static_cast<int>(rng.NextInt(0, kDims - 1));
-        cells[static_cast<std::size_t>(attr)] = static_cast<Value>(
-            rng.NextInt(0, schema.cardinality(attr) - 1));
-      }
-      batch.queries.push_back({Pattern(cells), i % 2 == 0 ? 0 : kTau});
-    }
-  }
-  return batches;
-}
-
 bool SameAnswers(const QueryBatchResult& a, const QueryBatchResult& b) {
   if (a.results.size() != b.results.size()) return false;
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -135,7 +116,7 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
                             rows.begin() + static_cast<long>((index + 1) * kBatch));
   };
   const std::vector<QueryBatchRequest> probes =
-      MakeProbeBatches(schema, config.seed + 7, 64);
+      ProbeBatches(schema, config.seed + 7, 64, kTau);
 
   obs::Histogram fsync_hist, checkpoint_hist;
   CoverageService::SessionOptions options;
@@ -145,21 +126,21 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
   options.fsync_histogram = &fsync_hist;
   options.checkpoint_histogram = &checkpoint_hist;
 
-  // Set-up: open the session and load the first window, several times.
+  // Set-up: open the session and load the first window.
   const std::string base = config.out_dir + "/stream-" + std::to_string(config.seed);
   fs::remove_all(base);
-  std::vector<double> setups;
+  constexpr std::size_t kFillBatches = kWindow / kBatch;
+  std::vector<Dataset> fill;
+  for (std::size_t b = 0; b < kFillBatches; ++b) {
+    fill.push_back(ToDataset(schema, batch_rows(b)));
+  }
   std::optional<CoverageService::Session> session;
   std::string dir;
-  constexpr std::size_t kFillBatches = kWindow / kBatch;
-  for (int rep = 0; rep < SetupReps(config); ++rep) {
+  int setup_rep = 0;
+  const std::vector<double> setups = RepeatSetUp(config, [&] {
     session.reset();
     if (!dir.empty()) fs::remove_all(dir);
-    dir = base + "/setup-" + std::to_string(rep);
-    std::vector<Dataset> fill;
-    for (std::size_t b = 0; b < kFillBatches; ++b) {
-      fill.push_back(ToDataset(schema, batch_rows(b)));
-    }
+    dir = base + "/setup-" + std::to_string(setup_rep++);
     const double start = NowSeconds();
     auto opened = CoverageService::OpenDurableSession(dir, schema, options);
     if (!opened.ok()) Die("stream set-up: " + opened.status().ToString());
@@ -168,8 +149,8 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
       auto appended = session->Append(batch);
       if (!appended.ok()) Die("stream fill: " + appended.status().ToString());
     }
-    setups.push_back(NowSeconds() - start);
-  }
+    return NowSeconds() - start;
+  });
   WindowModel window;
   for (std::size_t b = 0; b < kFillBatches; ++b) window.Append(batch_rows(b));
 
@@ -184,11 +165,9 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
   const double checkpoint_s_before = checkpoint_hist.sum_seconds();
   std::size_t next_batch = kFillBatches;
   bool recording = true;
-  // One epoch: an append (or every kRetractEvery-th epoch a retraction),
-  // then the query batches. False when the input is used up.
+  // One epoch: an append, or every kRetractEvery-th epoch a retraction.
   auto step = [&](int epoch) {
     const bool retract = epoch % kRetractEvery == kRetractEvery - 1;
-    if (!retract && next_batch * kBatch + kBatch > rows.size()) return false;
     EngineUpdateStats stats;
     double wall = 0.0;
     if (retract) {
@@ -202,7 +181,7 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
       wall = NowSeconds() - start;
       if (!result.ok()) {
         ops.Fail("retract: " + result.status().ToString());
-        return true;
+        return;
       }
       stats = *result;
       window.Retract(victims);
@@ -241,11 +220,11 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
       wall = NowSeconds() - start;
       if (!result.ok()) {
         ops.Fail("append: " + result.status().ToString());
-        return true;
+        return;
       }
       stats = *result;
       window.Append(std::move(batch));
-      if (!recording) return true;
+      if (!recording) return;
       appended_rows += static_cast<double>(kBatch);
       append_ms.push_back(wall * 1e3);
       append_engine_ms.push_back(stats.seconds * 1e3);
@@ -265,7 +244,6 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
           retract ? 0.0 : static_cast<double>(stats.rows_retracted);
       counts["engine.tombstones"] += static_cast<double>(stats.combinations_tombstoned);
     }
-    return true;
   };
 
   // Readers beside the writer: nproc - 1 threads send query batches in a
@@ -295,10 +273,16 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
       reader_seconds[r] = NowSeconds() - began;
     });
   }
+  // The loop ends when the budget is spent, or earlier once only the tail's
+  // input is left (a data directory with cheap fsync appends faster than
+  // the pool lasts).
+  const std::size_t loop_batches = rows.size() / kBatch - kTailEpochs;
   int epoch = 0;
   const double loop_start = NowSeconds();
-  for (; epoch < kMinEpochs || NowSeconds() - loop_start < budget; ++epoch) {
-    if (!step(epoch)) break;
+  for (; (epoch < kMinEpochs || NowSeconds() - loop_start < budget) &&
+         next_batch < loop_batches;
+       ++epoch) {
+    step(epoch);
   }
   const double loop_s = NowSeconds() - loop_start;
   writing = false;
@@ -307,16 +291,13 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
     query_us.insert(query_us.end(), reader_us[r].begin(), reader_us[r].end());
     query_at.insert(query_at.end(), reader_at[r].begin(), reader_at[r].end());
   }
-  if (epoch < kMinEpochs) ops.Fail("stream ran out of input before the minimum epochs");
 
   // A checkpoint, then a fixed tail of epochs: recovery replays exactly
   // those, whatever the budget.
   const Status checkpointed = session->Checkpoint();
   if (!checkpointed.ok()) ops.Fail("checkpoint: " + checkpointed.ToString());
   recording = false;
-  for (int tail = 0; tail < kTailEpochs; ++tail) {
-    if (!step(epoch++)) ops.Fail("stream ran out of input in the tail");
-  }
+  for (int tail = 0; tail < kTailEpochs; ++tail) step(epoch++);
 
   // Output checks: the maintained MUP set against a from-scratch search over
   // the rows left in the window.
@@ -391,24 +372,9 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
   }
 
   // Oracle share of a query batch, replayed serially on the final epoch.
-  double oracle_us_per_batch = 0.0;
-  {
-    AggregatedData agg(ToDataset(schema, window.Rows()));
-    BitmapCoverage index(agg);
-    TimingOracle oracle(index);
-    QueryContext ctx;
-    for (const QueryBatchRequest& request : probes) {
-      for (const QueryRequest& q : request.queries) {
-        if (q.tau == 0) {
-          (void)oracle.Coverage(q.pattern, ctx);
-        } else {
-          (void)oracle.CoverageAtLeast(q.pattern, q.tau, ctx);
-        }
-      }
-    }
-    oracle_us_per_batch =
-        oracle.EstimatedSeconds() * 1e6 / static_cast<double>(probes.size());
-  }
+  const AggregatedData final_rows(ToDataset(schema, window.Rows()));
+  const BitmapCoverage final_index(final_rows);
+  const double oracle_us_per_batch = OracleUsPerBatch(final_index, probes);
 
   const double fsyncs = static_cast<double>(fsync_hist.count() - fsyncs_before);
   const double checkpoints =
