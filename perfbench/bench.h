@@ -7,6 +7,7 @@
 #define PERFBENCH_BENCH_H_
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -171,6 +172,58 @@ struct Config {
   bool companion = false;
 };
 
+/// Round-robin turns between the phases of one run, each on its own thread.
+/// Only the phase holding the turn runs; it hands the turn on at its first
+/// Yield after kSliceSeconds, so a stretch of machine noise lands on every
+/// phase alike instead of on whichever phase happened to run through it.
+class TurnTaking {
+ public:
+  static constexpr double kSliceSeconds = 1.0;
+
+  explicit TurnTaking(int phases);
+  void Begin(int phase);
+  bool Due();
+  double Yield(int phase);
+  void End(int phase);
+
+ private:
+  void PassLocked(int phase);
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<bool> done_;
+  int current_ = 0;
+  double slice_start_ = 0.0;
+};
+
+/// One phase's handle on the turns. A default-constructed Turn belongs to a
+/// phase that runs alone and never waits.
+class Turn {
+ public:
+  Turn() = default;
+  Turn(TurnTaking* share, int phase) : share_(share), phase_(phase) {}
+
+  /// Waits for the phase's first turn.
+  void Begin() {
+    if (share_ != nullptr) share_->Begin(phase_);
+  }
+  /// True once the current slice is over: a phase with threads of its own
+  /// parks them before it yields.
+  bool Due() { return share_ != nullptr && share_->Due(); }
+  /// Between two operations: once the slice is over, hands the turn on and
+  /// waits for it to come back. Returns the seconds spent waiting, which a
+  /// loop leaves out of its own clock.
+  double Yield() { return share_ != nullptr ? share_->Yield(phase_) : 0.0; }
+  /// The phase is finished; its turns go to the others.
+  void End() {
+    if (share_ != nullptr) share_->End(phase_);
+  }
+
+ private:
+  TurnTaking* share_ = nullptr;
+  int phase_ = 0;
+};
+
 /// Set-up is repeated and its median reported. A companion sets up once;
 /// the named workload at least kMinSetUps times and until kSetUpSeconds of
 /// set-up have been timed, at most kMaxSetUps times, so that a set-up of a
@@ -180,14 +233,15 @@ constexpr int kMaxSetUps = 200;
 constexpr double kSetUpSeconds = 1.5;
 
 /// Calls `set_up`, which returns the seconds it timed, as often as the rule
-/// above asks, and returns those samples.
+/// above asks, yielding the turn between calls, and returns those samples.
 template <typename F>
-std::vector<double> RepeatSetUp(const Config& config, F&& set_up) {
+std::vector<double> RepeatSetUp(const Config& config, Turn& turn, F&& set_up) {
   std::vector<double> samples;
   double timed = 0.0;
   do {
     samples.push_back(set_up());
     timed += samples.back();
+    turn.Yield();
   } while (!config.companion && static_cast<int>(samples.size()) < kMaxSetUps &&
            (static_cast<int>(samples.size()) < kMinSetUps || timed < kSetUpSeconds));
   return samples;
@@ -201,17 +255,17 @@ struct PhaseResult {
   double primary = 0.0;
 };
 
-/// Each phase runs its workload's loop for `budget` seconds. `traced`
-/// selects the per-layer run (spans, replays, counters) over the end-to-end
-/// run. Metric names follow BENCHMARK.json.
+/// Each phase runs its workload's loop for `budget` seconds of its own
+/// turns. `traced` selects the per-layer run (spans, replays, counters)
+/// over the end-to-end run. Metric names follow BENCHMARK.json.
 PhaseResult RunAudit(const Config& config, double budget, bool traced, Ops& ops,
-                     SpanLog& spans);
+                     SpanLog& spans, Turn& turn);
 PhaseResult RunStream(const Config& config, double budget, bool traced,
-                      Ops& ops, SpanLog& spans);
+                      Ops& ops, SpanLog& spans, Turn& turn);
 PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
-                     SpanLog& spans);
+                     SpanLog& spans, Turn& turn);
 PhaseResult RunCluster(const Config& config, double budget, bool traced,
-                       Ops& ops, SpanLog& spans);
+                       Ops& ops, SpanLog& spans, Turn& turn);
 
 /// Prints `what` to stderr and exits non-zero without a result: for set-up
 /// failures after which nothing can be measured.

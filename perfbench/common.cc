@@ -94,6 +94,47 @@ bool SpanLog::Write(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
+TurnTaking::TurnTaking(int phases)
+    : done_(static_cast<std::size_t>(phases), false), slice_start_(NowSeconds()) {}
+
+void TurnTaking::Begin(int phase) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return current_ == phase; });
+}
+
+bool TurnTaking::Due() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return NowSeconds() - slice_start_ >= kSliceSeconds;
+}
+
+double TurnTaking::Yield(int phase) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const double now = NowSeconds();
+  if (now - slice_start_ < kSliceSeconds) return 0.0;
+  PassLocked(phase);
+  cv_.wait(lock, [&] { return current_ == phase; });
+  return NowSeconds() - now;
+}
+
+void TurnTaking::End(int phase) {
+  std::lock_guard<std::mutex> lock(mu_);
+  done_[static_cast<std::size_t>(phase)] = true;
+  PassLocked(phase);
+}
+
+void TurnTaking::PassLocked(int phase) {
+  const int n = static_cast<int>(done_.size());
+  for (int step = 1; step <= n; ++step) {
+    const int next = (phase + step) % n;
+    if (!done_[static_cast<std::size_t>(next)]) {
+      current_ = next;
+      break;
+    }
+  }
+  slice_start_ = NowSeconds();
+  cv_.notify_all();
+}
+
 template <typename F>
 auto TimingOracle::Timed(F&& f) const {
   if (++queries_ % kSampleEvery != 0) return f();
@@ -221,8 +262,10 @@ void ReportSelfTimes(const SelfTimes& self, double traced_total_ms,
 }
 
 void Die(const std::string& what) {
-  std::cerr << "perfbench: " << what << "\n";
-  std::exit(1);
+  // _Exit: other phase threads may be waiting for their turn, and exit()
+  // would run static destructors under them.
+  std::cerr << "perfbench: " << what << std::endl;
+  std::_Exit(1);
 }
 
 double PeakRssMib() {

@@ -7,15 +7,19 @@
 // "metrics"}. With --trace 0 the metrics are the end-to-end set, with
 // --trace 1 the per-layer set (see perfbench/README.md). Every workload
 // reports every metric: the named workload's phase runs for --seconds, and
-// a metric it does not measure comes from a companion run, also for
-// --seconds, of the first phase that does, in the order audit, stream,
-// serve.
+// a metric it does not measure comes from a companion phase, also run for
+// --seconds, in the order audit, stream, serve. The phases of an untraced
+// run take turns of about a second each, so machine noise falls on all of
+// them alike.
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <thread>
+#include <vector>
 
 #include "bench.h"
 #include "server/json.h"
@@ -43,7 +47,7 @@ bool IsRepeatableCount(const std::string& name) {
   return false;
 }
 
-using Phase = PhaseResult (*)(const Config&, double, bool, Ops&, SpanLog&);
+using Phase = PhaseResult (*)(const Config&, double, bool, Ops&, SpanLog&, Turn&);
 
 const std::map<std::string, Phase>& Phases() {
   static const std::map<std::string, Phase> phases = {
@@ -58,6 +62,19 @@ void Merge(const MetricMap& from, MetricMap* into) {
   for (const auto& [name, metric] : from) into->try_emplace(name, metric);
 }
 
+/// The phases an untraced run of `workload` needs to measure every
+/// end-to-end metric: the named one, then audit and stream, then serve
+/// unless cluster already measures the client-side metrics.
+std::vector<std::string> RunPhases(const std::string& workload) {
+  std::vector<std::string> out = {workload};
+  for (const std::string name : {"audit", "stream", "serve"}) {
+    if (name != workload && !(name == "serve" && workload == "cluster")) {
+      out.push_back(name);
+    }
+  }
+  return out;
+}
+
 int Usage() {
   std::cerr << "usage: perfbench --workload audit|stream|serve|cluster --seed N "
                "--seconds S --trace 0|1 --out-dir DIR\n";
@@ -65,6 +82,10 @@ int Usage() {
 }
 
 int Main(int argc, char** argv) {
+  // Pin glibc's mmap threshold at its default: left to adapt, it follows the
+  // order in which the phases' threads free large blocks, and peak RSS
+  // then jumps by tens of MiB between runs of the same seed.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   Config config;
   config.threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   for (int i = 1; i + 1 < argc; i += 2) {
@@ -94,16 +115,26 @@ int Main(int argc, char** argv) {
   Config companion = config;
   companion.companion = true;
   if (!config.trace) {
-    metrics = main_phase(config, config.seconds, false, ops, spans).metrics;
-    metrics["peak_rss_mib"] = {PeakRssMib(), "MiB"};
-    for (const char* name : {"audit", "stream", "serve"}) {
-      const bool needed = std::any_of(
-          kEndToEnd.begin(), kEndToEnd.end(),
-          [&](const std::string& m) { return !metrics.contains(m); });
-      if (!needed || name == config.workload) continue;
-      Merge(Phases().at(name)(companion, config.seconds,false, ops, spans).metrics,
-            &metrics);
+    const std::vector<std::string> names = RunPhases(config.workload);
+    TurnTaking share(static_cast<int>(names.size()));
+    std::vector<PhaseResult> results(names.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      threads.emplace_back([&, i] {
+        Turn turn(&share, static_cast<int>(i));
+        turn.Begin();
+        try {
+          results[i] = Phases().at(names[i])(i == 0 ? config : companion,
+                                             config.seconds, false, ops, spans, turn);
+        } catch (const std::exception& e) {
+          Die(names[i] + " phase: " + e.what());
+        }
+        turn.End();
+      });
     }
+    for (std::thread& thread : threads) thread.join();
+    for (const PhaseResult& result : results) Merge(result.metrics, &metrics);
+    metrics["peak_rss_mib"] = {PeakRssMib(), "MiB"};
     for (const std::string& name : kEndToEnd) {
       if (!metrics.contains(name)) Die("no phase measured " + name);
     }
@@ -115,14 +146,17 @@ int Main(int argc, char** argv) {
   } else {
     // The untraced run of the same phase first: tracing overhead is the
     // traced primary latency relative to it.
-    const double untraced = main_phase(config, config.seconds, false, ops, spans).primary;
-    const PhaseResult traced = main_phase(config, config.seconds, true, ops, spans);
+    // Traced phases run one after another, each alone.
+    Turn alone;
+    const double untraced =
+        main_phase(config, config.seconds, false, ops, spans, alone).primary;
+    const PhaseResult traced = main_phase(config, config.seconds, true, ops, spans, alone);
     metrics = traced.metrics;
     metrics["trace.overhead_pct"] = {
         untraced > 0 ? (traced.primary - untraced) / untraced * 100.0 : 0.0, "%"};
     for (const char* name : {"audit", "stream", "serve", "cluster"}) {
       if (name == config.workload) continue;
-      Merge(Phases().at(name)(companion, config.seconds,true, ops, spans).metrics,
+      Merge(Phases().at(name)(companion, config.seconds, true, ops, spans, alone).metrics,
             &metrics);
     }
     double mismatches = 0;

@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload audit --seed 1 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload audit --seed 1 --seconds 14 --trace 0
 
 The first call configures and builds perfbench/ (which compiles the library
 sources under src/) into .bench_build/perfbench; later calls reuse the
@@ -60,8 +60,9 @@ def main():
 
     binary = build()
     # A traced run measures five phases for --seconds each, plus set-ups,
-    # replays and checks; a run still going well past that is hung.
-    timeout = 60 + 12 * args.seconds
+    # replays and checks (about 6.5 x --seconds in all); a run still going
+    # well past that is hung.
+    timeout = 60 + 8 * args.seconds
     try:
         done = subprocess.run(
             [binary, "--workload", args.workload, "--seed", str(args.seed),

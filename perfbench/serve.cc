@@ -12,7 +12,10 @@
 // audits. The difference to serve is the cluster tier's cost.
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -118,15 +121,31 @@ struct ConnectionPlan {
   int offset = 0;        ///< first body index
 };
 
-/// Runs the closed loop: one thread per connection until `budget` seconds
-/// have passed. Failed requests are counted on `ops`.
+/// Runs the closed loop: one thread per connection for `budget` seconds of
+/// the phase's own turns. Before the turn is handed on, every connection
+/// parks between two requests; the time until the turn comes back is left
+/// out. Failed requests are counted on `ops`.
 Load RunLoop(int port, const std::vector<ConnectionPlan>& plans, double budget,
              const std::vector<std::string>& query_bodies,
              const std::vector<std::string>& append_bodies,
-             const std::string& append_target, Ops& ops) {
+             const std::string& append_target, Ops& ops, Turn& turn) {
   std::vector<Load> parts(plans.size());
-  const double start = NowSeconds();
-  const double deadline = start + budget;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = true, stop = false;
+  std::size_t running = plans.size(), parked = 0;
+  // Between requests: waits while the connections are parked; false once
+  // the loop is over.
+  auto pass_gate = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!open && !stop) {
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return open || stop; });
+      --parked;
+    }
+    return !stop;
+  };
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < plans.size(); ++c) {
     threads.emplace_back([&, c] {
@@ -136,10 +155,9 @@ Load RunLoop(int port, const std::vector<ConnectionPlan>& plans, double budget,
       if (!client.ok()) {
         ops.Attempt();
         ops.Fail("connect: " + client.status().ToString());
-        return;
       }
       const double began = NowSeconds();
-      for (std::uint64_t i = 0; NowSeconds() < deadline; ++i) {
+      for (std::uint64_t i = 0; client.ok() && pass_gate(); ++i) {
         http::Request request;
         int kind = 0;  // 0 query, 1 json audit, 2 binary audit, 3 append
         int body_index = 0;
@@ -187,17 +205,40 @@ Load RunLoop(int port, const std::vector<ConnectionPlan>& plans, double budget,
         }
       }
       part.connection_seconds = NowSeconds() - began;
+      std::lock_guard<std::mutex> lock(mu);
+      --running;
+      cv.notify_all();
     });
+  }
+  // This thread keeps the clock and hands the turn on.
+  const double start = NowSeconds();
+  double waited = 0.0;
+  while (NowSeconds() - start - waited < budget) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!turn.Due()) continue;
+    std::unique_lock<std::mutex> lock(mu);
+    open = false;
+    cv.wait(lock, [&] { return parked == running; });
+    lock.unlock();
+    waited += turn.Yield();
+    lock.lock();
+    open = true;
+    cv.notify_all();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    stop = true;
+    cv.notify_all();
   }
   for (std::thread& t : threads) t.join();
   Load load;
-  load.wall_seconds = NowSeconds() - start;
+  load.wall_seconds = NowSeconds() - start - waited;
   for (Load& part : parts) {
     load.query_us.insert(load.query_us.end(), part.query_us.begin(), part.query_us.end());
     load.query_at.insert(load.query_at.end(), part.query_at.begin(), part.query_at.end());
     load.audit_ms.insert(load.audit_ms.end(), part.audit_ms.begin(), part.audit_ms.end());
     load.append_ms.insert(load.append_ms.end(), part.append_ms.begin(), part.append_ms.end());
-    load.connection_seconds += part.connection_seconds;
+    load.connection_seconds += part.connection_seconds - waited;
     load.completed += part.completed;
     load.query_answers.merge(part.query_answers);
     if (load.json_audit.empty()) load.json_audit = part.json_audit;
@@ -305,7 +346,7 @@ double CappedAuditOracleShare(const CoverageService& service) {
 }  // namespace
 
 PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
-                     SpanLog& spans) {
+                     SpanLog& spans, Turn& turn) {
   const Dataset data = datagen::MakeAirbnb(kRows, kDims, config.seed);
   const Schema& schema = data.schema();
   const std::vector<QueryBatchRequest> probes =
@@ -327,7 +368,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
   // Set-up: index, start the server, open the append session.
   std::unique_ptr<CoverageServer> server;
   std::string append_target;
-  const std::vector<double> setups = RepeatSetUp(config, [&] {
+  const std::vector<double> setups = RepeatSetUp(config, turn, [&] {
     if (server) server->Stop();
     server.reset();
     const double start = NowSeconds();
@@ -362,7 +403,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
   plans.push_back({false, true, 0});
   for (int c = 1; c < connections; ++c) plans.push_back({true, false, c * 17});
   const Load load = RunLoop(server->port(), plans, budget, query_bodies,
-                            append_bodies, append_target, ops);
+                            append_bodies, append_target, ops, turn);
   const JsonValue stats = GetStats(server->port());
   CheckAnswers(load, probes, server->service(), ops);
 
@@ -535,7 +576,7 @@ PhaseResult RunServe(const Config& config, double budget, bool traced, Ops& ops,
 }
 
 PhaseResult RunCluster(const Config& config, double budget, bool traced,
-                       Ops& ops, SpanLog& spans) {
+                       Ops& ops, SpanLog& spans, Turn& turn) {
   const Dataset data = datagen::MakeAirbnb(kRows, kDims, config.seed);
   const Schema& schema = data.schema();
   const std::vector<QueryBatchRequest> probes =
@@ -558,7 +599,7 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
     for (auto& shard : shards) shard->Stop();
     shards.clear();
   };
-  const std::vector<double> setups = RepeatSetUp(config, [&] {
+  const std::vector<double> setups = RepeatSetUp(config, turn, [&] {
     stop_all();
     const double start = NowSeconds();
     std::vector<std::string> endpoints;
@@ -585,7 +626,7 @@ PhaseResult RunCluster(const Config& config, double budget, bool traced,
 
   const std::vector<ConnectionPlan> plans = {{true, false, 0}, {false, false, 0}};
   const Load load =
-      RunLoop(coordinator->port(), plans, budget, query_bodies, {}, "", ops);
+      RunLoop(coordinator->port(), plans, budget, query_bodies, {}, "", ops, turn);
   auto reference = CoverageService::FromDataset(data, service_options);
   if (!reference.ok()) Die("reference: " + reference.status().ToString());
   CheckAnswers(load, probes, *reference, ops);

@@ -1,16 +1,14 @@
 // The `stream` phase: one durable session (fsync) over an AirBnB d=12
-// schema takes fixed-size append batches into a sliding window and
-// explicitly retracts rows still in the window every fifth epoch, while
-// nproc - 1 reader threads send query batches beside the writer. engine/,
+// schema takes fixed-size append batches into a sliding window,
+// explicitly retracts rows still in the window every fifth epoch, and
+// reads one 16-probe query batch per epoch beside the writes. engine/,
 // persist/ and the per-epoch dataset/ copy do the work; no from-scratch
 // search runs and there is no transport.
 
-#include <atomic>
 #include <deque>
 #include <filesystem>
 #include <map>
 #include <optional>
-#include <thread>
 
 #include "bench.h"
 #include "datagen/airbnb.h"
@@ -27,15 +25,15 @@ namespace fs = std::filesystem;
 
 constexpr int kDims = 12;
 constexpr std::size_t kBatch = 100;
-constexpr std::size_t kWindow = 8000;
+constexpr std::size_t kWindow = 4000;
 constexpr std::uint64_t kTau = 50;
 constexpr int kRetractEvery = 5;
 constexpr std::size_t kRetractRows = 50;
-constexpr std::size_t kMaxEpochs = 3000;
+constexpr std::size_t kMaxEpochs = 1000;
 constexpr int kMinEpochs = 130;  // >= 100 appends: p90 has ten beyond it
-constexpr int kTailEpochs = 20;
+constexpr int kTailEpochs = 10;    // replayed by every recovery
 constexpr int kCountEpochs = 100;  // counters cover a fixed epoch prefix
-constexpr int kRecoverReps = 5;
+constexpr int kRecoverReps = 11;
 constexpr int kSampleEvery = 4;    // traced relation-copy / index replays
 static_assert(kMaxEpochs >= kMinEpochs + kTailEpochs);
 
@@ -103,7 +101,7 @@ bool SameAnswers(const QueryBatchResult& a, const QueryBatchResult& b) {
 }  // namespace
 
 PhaseResult RunStream(const Config& config, double budget, bool traced,
-                      Ops& ops, SpanLog& spans) {
+                      Ops& ops, SpanLog& spans, Turn& turn) {
   const Dataset pool =
       datagen::MakeAirbnb(kWindow + kMaxEpochs * kBatch, kDims, config.seed);
   const Schema& schema = pool.schema();
@@ -137,7 +135,7 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
   std::optional<CoverageService::Session> session;
   std::string dir;
   int setup_rep = 0;
-  const std::vector<double> setups = RepeatSetUp(config, [&] {
+  const std::vector<double> setups = RepeatSetUp(config, turn, [&] {
     session.reset();
     if (!dir.empty()) fs::remove_all(dir);
     dir = base + "/setup-" + std::to_string(setup_rep++);
@@ -154,18 +152,16 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
   WindowModel window;
   for (std::size_t b = 0; b < kFillBatches; ++b) window.Append(batch_rows(b));
 
-  // The epoch loop.
+  // One epoch at a time.
   std::vector<double> append_ms, append_engine_ms, retract_ms, retract_engine_ms,
-      query_us, query_at, copy_ms, extend_ms, wal_per_row;
+      query_us, copy_ms, extend_ms, wal_per_row;
   double appended_rows = 0;
   std::map<std::string, double> counts;
-  const std::uint64_t fsyncs_before = fsync_hist.count();
-  const double fsync_s_before = fsync_hist.sum_seconds();
-  const std::uint64_t checkpoints_before = checkpoint_hist.count();
-  const double checkpoint_s_before = checkpoint_hist.sum_seconds();
   std::size_t next_batch = kFillBatches;
-  bool recording = true;
-  // One epoch: an append, or every kRetractEvery-th epoch a retraction.
+  bool recording = false;
+  int recorded = 0;
+  // One epoch: an append, or every kRetractEvery-th epoch a retraction,
+  // then one query batch against the epoch just published.
   auto step = [&](int epoch) {
     const bool retract = epoch % kRetractEvery == kRetractEvery - 1;
     EngineUpdateStats stats;
@@ -224,18 +220,28 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
       }
       stats = *result;
       window.Append(std::move(batch));
-      if (!recording) return;
-      appended_rows += static_cast<double>(kBatch);
-      append_ms.push_back(wall * 1e3);
-      append_engine_ms.push_back(stats.seconds * 1e3);
-      const std::uint64_t wal_after = session->durable()->persist_stats().wal_bytes;
-      if (wal_after > wal_before) {
-        wal_per_row.push_back(static_cast<double>(wal_after - wal_before) /
-                              static_cast<double>(kBatch));
+      if (recording) {
+        appended_rows += static_cast<double>(kBatch);
+        append_ms.push_back(wall * 1e3);
+        append_engine_ms.push_back(stats.seconds * 1e3);
+        const std::uint64_t wal_after = session->durable()->persist_stats().wal_bytes;
+        if (wal_after > wal_before) {
+          wal_per_row.push_back(static_cast<double>(wal_after - wal_before) /
+                                static_cast<double>(kBatch));
+        }
+        if (traced) spans.Add("session.append", spans.NextRequest(), -1, start, start + wall);
       }
-      if (traced) spans.Add("session.append", spans.NextRequest(), -1, start, start + wall);
     }
-    if (recording && epoch < kCountEpochs) {
+    ops.Attempt();
+    const double read_start = NowSeconds();
+    auto answer =
+        session->QueryBatch(probes[static_cast<std::size_t>(epoch) % probes.size()]);
+    const double read_end = NowSeconds();
+    if (!answer.ok()) ops.Fail("query: " + answer.status().ToString());
+    if (!recording) return;
+    query_us.push_back((read_end - read_start) * 1e6);
+    if (traced) spans.Add("session.query", spans.NextRequest(), -1, read_start, read_end);
+    if (recorded++ < kCountEpochs) {
       counts["engine.queries_per_epoch"] += static_cast<double>(stats.coverage_queries);
       counts["engine.mups_rechecked"] += static_cast<double>(stats.mups_rechecked);
       counts["engine.mups_added"] += static_cast<double>(stats.mups_added);
@@ -246,62 +252,95 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
     }
   };
 
-  // Readers beside the writer: nproc - 1 threads send query batches in a
-  // closed loop against the session's published epochs while it appends.
-  std::atomic<bool> writing{true};
-  std::vector<std::vector<double>> reader_us(
-      static_cast<std::size_t>(std::max(1, config.threads - 1)));
-  std::vector<std::vector<double>> reader_at(reader_us.size());
-  std::vector<double> reader_seconds(reader_us.size());
-  std::vector<std::thread> readers;
-  for (std::size_t r = 0; r < reader_us.size(); ++r) {
-    readers.emplace_back([&, r] {
-      const double began = NowSeconds();
-      for (std::size_t i = r * 17; writing.load(std::memory_order_relaxed); ++i) {
-        ops.Attempt();
-        const double start = NowSeconds();
-        auto answer = session->QueryBatch(probes[i % probes.size()]);
-        const double end = NowSeconds();
-        if (!answer.ok()) {
-          ops.Fail("query: " + answer.status().ToString());
-          continue;
-        }
-        reader_us[r].push_back((end - start) * 1e6);
-        reader_at[r].push_back(end);
-        if (traced) spans.Add("session.query", spans.NextRequest(), -1, start, end);
-      }
-      reader_seconds[r] = NowSeconds() - began;
-    });
-  }
-  // The loop ends when the budget is spent, or earlier once only the tail's
-  // input is left (a data directory with cheap fsync appends faster than
-  // the pool lasts).
-  const std::size_t loop_batches = rows.size() / kBatch - kTailEpochs;
+  // The recovery fixture: a checkpoint, kTailEpochs unrecorded epochs, and
+  // a close without a checkpoint, so every recovery replays exactly those
+  // epochs. Each sample reopens its own copy of the directory (a reopen
+  // re-checkpoints); the first reopened session carries on as the loop's.
   int epoch = 0;
-  const double loop_start = NowSeconds();
-  for (; (epoch < kMinEpochs || NowSeconds() - loop_start < budget) &&
-         next_batch < loop_batches;
-       ++epoch) {
-    step(epoch);
-  }
-  const double loop_s = NowSeconds() - loop_start;
-  writing = false;
-  for (std::thread& reader : readers) reader.join();
-  for (std::size_t r = 0; r < reader_us.size(); ++r) {
-    query_us.insert(query_us.end(), reader_us[r].begin(), reader_us[r].end());
-    query_at.insert(query_at.end(), reader_at[r].begin(), reader_at[r].end());
-  }
-
-  // A checkpoint, then a fixed tail of epochs: recovery replays exactly
-  // those, whatever the budget.
+  const std::uint64_t fsyncs_before = fsync_hist.count();
+  const double fsync_s_before = fsync_hist.sum_seconds();
+  const std::uint64_t checkpoints_before = checkpoint_hist.count();
+  const double checkpoint_s_before = checkpoint_hist.sum_seconds();
   const Status checkpointed = session->Checkpoint();
   if (!checkpointed.ok()) ops.Fail("checkpoint: " + checkpointed.ToString());
-  recording = false;
-  for (int tail = 0; tail < kTailEpochs; ++tail) step(epoch++);
-
-  // Output checks: the maintained MUP set against a from-scratch search over
-  // the rows left in the window.
+  for (; epoch < kTailEpochs; ++epoch) step(epoch);
   const AuditResult before = session->Audit();
+  std::vector<QueryBatchResult> answers;
+  for (const QueryBatchRequest& request : probes) {
+    auto answer = session->QueryBatch(request);
+    if (!answer.ok()) Die("stream probe: " + answer.status().ToString());
+    answers.push_back(std::move(*answer));
+  }
+  session.reset();
+  std::vector<double> recover_s;
+  double replay_records = 0;
+  // Only the session the loop goes on with reports to the histograms.
+  CoverageService::SessionOptions sample_options = options;
+  sample_options.fsync_histogram = nullptr;
+  sample_options.checkpoint_histogram = nullptr;
+  auto recover = [&](int rep) -> std::optional<CoverageService::Session> {
+    const std::string copy = base + "/recover-" + std::to_string(rep);
+    fs::copy(dir, copy, fs::copy_options::recursive);
+    ops.Attempt();
+    const double start = NowSeconds();
+    auto reopened =
+        CoverageService::ReopenDurableSession(copy, rep == 0 ? options : sample_options);
+    const double end = NowSeconds();
+    if (!reopened.ok()) {
+      ops.Fail("reopen: " + reopened.status().ToString());
+      return std::nullopt;
+    }
+    recover_s.push_back(end - start);
+    replay_records =
+        static_cast<double>(reopened->durable()->recovery_stats().records_replayed);
+    if (traced) spans.Add("session.reopen", spans.NextRequest(), -1, start, end);
+    if (!SameMups(reopened->Audit().mups, before.mups)) {
+      ops.Fail("reopened session MUPs differ");
+    }
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      auto answer = reopened->QueryBatch(probes[i]);
+      if (!answer.ok() || !SameAnswers(*answer, answers[i])) {
+        ops.Fail("reopened session probe answers differ");
+        break;
+      }
+    }
+    return std::move(*reopened);
+  };
+  session = recover(0);
+  if (!session) Die("stream: the first reopen failed");
+  int rep = 1;
+  auto recover_and_drop = [&] {
+    recover(rep);
+    fs::remove_all(base + "/recover-" + std::to_string(rep++));
+  };
+
+  // The epoch loop, until the budget is spent or the pool runs out. Time
+  // waiting for the turn and the recovery samples spread over the loop are
+  // left out of its clock.
+  recording = true;
+  const std::size_t pool_batches = rows.size() / kBatch;
+  int loop_epochs = 0;
+  double excluded = 0.0;
+  const double loop_start = NowSeconds();
+  auto loop_clock = [&] { return NowSeconds() - loop_start - excluded; };
+  for (; (loop_epochs < kMinEpochs || loop_clock() < budget) && next_batch < pool_batches;
+       ++epoch, ++loop_epochs) {
+    excluded += turn.Yield();
+    step(epoch);
+    if (rep < kRecoverReps && loop_clock() >= budget * rep / kRecoverReps) {
+      const double start = NowSeconds();
+      recover_and_drop();
+      excluded += NowSeconds() - start;
+    }
+  }
+  const double loop_s = loop_clock();
+  while (rep < kRecoverReps) {
+    turn.Yield();
+    recover_and_drop();
+  }
+
+  // Output check: the maintained MUP set against a from-scratch search over
+  // the rows left in the window.
   {
     const std::vector<Row> kept = window.Rows();
     if (kept.size() != session->num_rows()) ops.Fail("stream window row count differs");
@@ -310,50 +349,11 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
     MupSearchOptions search;
     search.tau = kTau;
     auto scratch = FindMups(MupAlgorithm::kDeepDiver, oracle, search);
-    if (!scratch.ok() || !SameMups(*scratch, before.mups)) {
+    if (!scratch.ok() || !SameMups(*scratch, session->Audit().mups)) {
       ops.Fail("stream MUP set differs from a from-scratch search");
     }
   }
-  std::vector<QueryBatchResult> answers;
-  for (const QueryBatchRequest& request : probes) {
-    auto answer = session->QueryBatch(request);
-    if (!answer.ok()) Die("stream probe: " + answer.status().ToString());
-    answers.push_back(std::move(*answer));
-  }
-
-  // Close without a checkpoint, then time recovery on copies of the
-  // directory (a reopen re-checkpoints, so each sample needs its own copy).
   session.reset();
-  std::vector<double> recover_s;
-  double replay_records = 0;
-  for (int rep = 0; rep < kRecoverReps; ++rep) {
-    const std::string copy = base + "/recover-" + std::to_string(rep);
-    fs::copy(dir, copy, fs::copy_options::recursive);
-    ops.Attempt();
-    const double start = NowSeconds();
-    auto reopened = CoverageService::ReopenDurableSession(copy, options);
-    const double end = NowSeconds();
-    if (!reopened.ok()) {
-      ops.Fail("reopen: " + reopened.status().ToString());
-      continue;
-    }
-    recover_s.push_back(end - start);
-    replay_records =
-        static_cast<double>(reopened->durable()->recovery_stats().records_replayed);
-    if (traced) spans.Add("session.reopen", spans.NextRequest(), -1, start, end);
-    if (rep == 0) {
-      if (!SameMups(reopened->Audit().mups, before.mups)) {
-        ops.Fail("reopened session MUPs differ");
-      }
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        auto answer = reopened->QueryBatch(probes[i]);
-        if (!answer.ok() || !SameAnswers(*answer, answers[i])) {
-          ops.Fail("reopened session probe answers differ");
-          break;
-        }
-      }
-    }
-  }
   fs::remove_all(base);
 
   PhaseResult out;
@@ -366,8 +366,6 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
     m["append_p90_ms"] = {Quantile(append_ms, 0.9), "ms"};
     m["retract_p50_ms"] = {Median(retract_ms), "ms"};
     m["recover_s"] = {Median(recover_s), "s"};
-    m["query_p50_us"] = {Median(query_us), "us"};
-    m["query_p99_us"] = {WindowedQuantile(query_us, query_at, 0.99), "us"};
     return out;
   }
 
@@ -428,10 +426,7 @@ PhaseResult RunStream(const Config& config, double budget, bool traced,
   for (double us : query_us) {
     AddNested(&self, {"service", "coverage"}, us / 1e3, {oracle_us_per_batch / 1e3});
   }
-  // The total counts thread-seconds: the writer's loop plus every reader's.
-  double thread_seconds = loop_s;
-  for (double s : reader_seconds) thread_seconds += s;
-  ReportSelfTimes(self, thread_seconds * 1e3, &m);
+  ReportSelfTimes(self, loop_s * 1e3, &m);
   return out;
 }
 
