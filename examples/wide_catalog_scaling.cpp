@@ -2,7 +2,7 @@
 // cannot enumerate its full pattern graph (3^36 nodes), but the dangerous
 // coverage gaps are the *general* ones — combinations of one, two, or three
 // attributes (paper §V-C3, Fig. 16). The service's kAuto planner detects the
-// wide schema and falls back to level-limited DEEPDIVER on its own; the
+// wide schema and falls back to level-limited PATTERN-BREAKER on its own; the
 // explicit sweep below shows what each level cap costs.
 //
 //   $ ./examples/wide_catalog_scaling

@@ -3,25 +3,33 @@
 #include <algorithm>
 #include <string>
 
-#include "common/string_util.h"
+#include "pattern/pattern_graph.h"
 
 namespace coverage {
 
 namespace {
 
-/// Resolves PlannerDecision::num_threads from the caller's cap and the
-/// pattern-graph shape, appending the reasoning to the rationale. Serial
-/// callers (cap <= 1) leave the decision and the rationale untouched, so
-/// the planner's output is byte-identical to the single-threaded planner
-/// for every existing caller.
+/// Resolves PlannerDecision::num_threads from the caller's cap and the part
+/// of the pattern graph the search will explore (levels 0..max_level under
+/// a cap, all Π (c_i + 1) nodes otherwise), appending the reasoning to the
+/// rationale. Serial callers (cap <= 1) leave the decision and the
+/// rationale untouched.
 void PlanWorkers(const Schema& schema, const MupSearchOptions& options,
                  PlannerDecision* decision) {
   if (options.num_threads <= 1) return;
-  if (schema.NumPatterns() < kPlannerParallelMinPatternGraph) {
+  const bool capped = decision->max_level >= 0 &&
+                      decision->max_level < schema.num_attributes();
+  const std::uint64_t explored =
+      capped ? PatternGraph(schema).NumNodesUpToLevel(decision->max_level)
+             : schema.NumPatterns();
+  const std::string graph =
+      std::to_string(explored) + " nodes" +
+      (capped ? " at level <= " + std::to_string(decision->max_level) : "");
+  if (explored < kPlannerParallelMinPatternGraph) {
     decision->num_threads = 1;
-    decision->rationale += "; serial search (pattern graph under " +
+    decision->rationale += "; serial search (graph " + graph + ", under " +
                            std::to_string(kPlannerParallelMinPatternGraph) +
-                           " nodes, fan-out overhead would dominate)";
+                           ": fan-out overhead would dominate)";
     return;
   }
   // The root's children — one per (attribute, value) — are the widest
@@ -35,8 +43,7 @@ void PlanWorkers(const Schema& schema, const MupSearchOptions& options,
       std::max<std::uint64_t>(fan_out, 1)));
   decision->rationale += "; " + std::to_string(decision->num_threads) +
                          " workers (root fan-out " + std::to_string(fan_out) +
-                         ", graph " + std::to_string(schema.NumPatterns()) +
-                         " nodes)";
+                         ", graph " + graph + ")";
 }
 
 }  // namespace
@@ -62,7 +69,7 @@ std::string ToString(MupAlgorithm algorithm) {
 PlannerDecision PlanMupSearch(const AggregatedData& data,
                               const MupSearchOptions& options) {
   const Schema& schema = data.schema();
-  PlannerDecision decision;
+  PlannerDecision decision;  // algorithm: kPatternBreaker
   decision.max_level = options.max_level;
 
   // §V-C3 / Fig. 16: a wide schema's pattern graph cannot be explored
@@ -70,42 +77,20 @@ PlannerDecision PlanMupSearch(const AggregatedData& data,
   // gaps live. Only applies when the caller did not set a cap themselves.
   if (options.max_level < 0 &&
       schema.NumPatterns() > kPlannerPatternGraphBudget) {
-    decision.algorithm = MupAlgorithm::kDeepDiver;
     decision.max_level = kPlannerWideMaxLevel;
     decision.rationale =
         "pattern graph has " + std::to_string(schema.NumPatterns()) +
         " nodes (> " + std::to_string(kPlannerPatternGraphBudget) +
-        "): level-limited DEEPDIVER at level <= " +
+        "): level-limited PATTERN-BREAKER at level <= " +
         std::to_string(kPlannerWideMaxLevel) + " (§V-C3, Fig. 16)";
-    PlanWorkers(schema, options, &decision);
-    return decision;
-  }
-
-  // Fig. 15's cost drivers: PATTERN-BREAKER pays one coverage query per
-  // covered node above the MUP frontier, DEEPDIVER one dive per MUP. Sparse
-  // data (few live combinations relative to Pi c_i) leaves the frontier near
-  // the top of the graph, where the BFS terminates after a few cheap levels;
-  // dense data pushes the MUPs deep, where the targeted dives win.
-  const std::size_t live =
-      data.num_combinations() - data.num_tombstones();
-  const double density =
-      static_cast<double>(live) /
-      static_cast<double>(std::max<std::uint64_t>(
-          schema.NumValueCombinations(), 1));
-  if (density <= kPlannerSparseDensity) {
-    decision.algorithm = MupAlgorithm::kPatternBreaker;
-    decision.rationale =
-        std::to_string(live) + " live combinations cover " +
-        FormatDouble(density * 100.0, 2) + "% of the value space (<= " +
-        FormatDouble(kPlannerSparseDensity * 100.0, 2) +
-        "%): shallow MUP frontier, top-down PATTERN-BREAKER (§V, Fig. 15)";
   } else {
-    decision.algorithm = MupAlgorithm::kDeepDiver;
+    // Fig. 15's two contenders return the same MUP set; measured on dense,
+    // sparse, high-cardinality and wide shapes, PATTERN-BREAKER's top-down
+    // BFS is the faster one on every shape, and its level merge keeps the
+    // parallel counters deterministic.
     decision.rationale =
-        std::to_string(live) + " live combinations cover " +
-        FormatDouble(density * 100.0, 2) + "% of the value space (> " +
-        FormatDouble(kPlannerSparseDensity * 100.0, 2) +
-        "%): deep MUPs, dominance-pruned DEEPDIVER dives (§V, Fig. 15)";
+        "top-down PATTERN-BREAKER (§V, Fig. 15): same MUPs as DEEPDIVER, "
+        "faster on every measured shape";
   }
   PlanWorkers(schema, options, &decision);
   return decision;

@@ -85,10 +85,10 @@ enum class MupAlgorithm {
   kPatternCombiner,
   kDeepDiver,
   kApriori,
-  /// Let PlanMupSearch choose: the §V "which algorithm when" guidance as an
-  /// executable cost model over schema width, cardinalities, and the
-  /// aggregated-combination count. FindMups resolves kAuto before
-  /// dispatching; the other FindMups* entry points never see it.
+  /// Let PlanMupSearch choose the level cap and worker count for
+  /// PATTERN-BREAKER from the schema's width and cardinalities. FindMups
+  /// resolves kAuto before dispatching; the other FindMups* entry points
+  /// never see it.
   kAuto,
 };
 
@@ -110,22 +110,16 @@ inline constexpr std::uint64_t kPlannerPatternGraphBudget = std::uint64_t{1}
 
 /// The level cap the planner imposes on wide schemas: the dangerous coverage
 /// gaps are the *general* ones (combinations of up to three attributes —
-/// the Fig. 16 framing), and level-limited DEEPDIVER finds exactly those.
+/// the Fig. 16 framing), and level-limited PATTERN-BREAKER finds exactly
+/// those in a few BFS levels.
 inline constexpr int kPlannerWideMaxLevel = 3;
 
-/// Density = live distinct combinations / Π c_i. At or below this the data
-/// covers so little of the combination space that the MUP frontier sits near
-/// the top of the graph, where top-down PATTERN-BREAKER terminates after a
-/// few cheap BFS levels (Fig. 15's cost driver: BREAKER pays for every
-/// *covered* node above the frontier, DEEPDIVER for every dive to a deep
-/// MUP).
-inline constexpr double kPlannerSparseDensity = 1.0 / 16.0;
-
-/// Below this many pattern-graph nodes a parallel search is not worth its
-/// pool startup + work-queue synchronisation: every algorithm's per-node
-/// cost is a handful of bitmap intersections, so a graph this small is over
-/// before the workers warm up. The planner answers num_threads = 1 here
-/// regardless of the caller's cap.
+/// Below this many explored pattern-graph nodes a parallel search is not
+/// worth its pool startup + work-queue synchronisation: every algorithm's
+/// per-node cost is a handful of bitmap intersections, so a graph this small
+/// is over before the workers warm up. The planner answers num_threads = 1
+/// here regardless of the caller's cap. "Explored" honours the level cap:
+/// levels 0..max_level only, not all Π (c_i + 1) nodes.
 inline constexpr std::uint64_t kPlannerParallelMinPatternGraph =
     std::uint64_t{1} << 12;
 
@@ -134,25 +128,26 @@ inline constexpr std::uint64_t kPlannerParallelMinPatternGraph =
 /// caller's own cap when one was set, kPlannerWideMaxLevel when the wide-
 /// schema fallback clamped an unlimited search, -1 otherwise).
 struct PlannerDecision {
-  MupAlgorithm algorithm = MupAlgorithm::kDeepDiver;
+  MupAlgorithm algorithm = MupAlgorithm::kPatternBreaker;
   int max_level = -1;
   /// Worker count the search should run with. Never exceeds the caller's
   /// MupSearchOptions::num_threads (that is the cap, not a demand); 1 when
-  /// the cap is 1 or the pattern graph is too small to amortise fan-out
-  /// (kPlannerParallelMinPatternGraph), otherwise the cap clamped to the
-  /// root's fan-out (sum of cardinalities — the widest natural partition
-  /// of independent top-level work). The MUP set is identical for any
-  /// value (see MupSearchOptions::num_threads).
+  /// the cap is 1 or the explored part of the pattern graph is too small to
+  /// amortise fan-out (kPlannerParallelMinPatternGraph), otherwise the cap
+  /// clamped to the root's fan-out (sum of cardinalities — the widest
+  /// natural partition of independent top-level work). The MUP set is
+  /// identical for any value (see MupSearchOptions::num_threads).
   int num_threads = 1;
   /// One human-readable sentence citing the §V evidence for the choice;
   /// surfaced through AuditResult for observability.
   std::string rationale;
 };
 
-/// Resolves kAuto: inspects the schema (width, cardinalities, pattern-graph
-/// size) and the aggregated relation (live combination count) and picks
-/// PATTERN-BREAKER or DEEPDIVER, falling back to level-limited DEEPDIVER for
-/// wide schemas (§V-C3). Deterministic in its inputs.
+/// Resolves kAuto to PATTERN-BREAKER (it returns the same MUP set as
+/// DEEPDIVER faster on every measured shape, and its parallel merge is
+/// deterministic), level-limited at kPlannerWideMaxLevel for wide schemas
+/// (§V-C3), with a worker count sized by the levels the search will
+/// explore. Deterministic in its inputs.
 PlannerDecision PlanMupSearch(const AggregatedData& data,
                               const MupSearchOptions& options);
 

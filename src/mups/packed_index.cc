@@ -1,6 +1,8 @@
 #include "mups/packed_index.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 
 namespace coverage {
@@ -76,25 +78,68 @@ bool PackedMupIndex::Remove(const PackedPattern& mup) {
   return true;
 }
 
+namespace {
+
+using Word = BitVector::Word;
+
+/// Accumulator words per block of the dominance loops (2,048 MUP slots):
+/// small enough to live on the stack, large enough that each attribute's
+/// operand words stream through a tight loop.
+constexpr std::size_t kBlockWords = 32;
+
+/// Counts the MUP slots in [0, num_bits) that survive `narrow`, capped at 2:
+/// the dominance checks only tell none, one and several apart. Slots are
+/// taken a block at a time; `narrow(attr, first_word, n, acc)` ANDs
+/// attribute `attr`'s operand into the block's `n` accumulator words. A
+/// block stops at the first attribute that empties it and the scan stops
+/// at the second hit, with no heap work.
+template <typename Narrow>
+int HitsUpToTwo(std::size_t num_bits, int num_attributes, Narrow&& narrow) {
+  const std::size_t num_words =
+      (num_bits + BitVector::kBitsPerWord - 1) / BitVector::kBitsPerWord;
+  const std::size_t tail = num_bits % BitVector::kBitsPerWord;
+  int hits = 0;
+  for (std::size_t first = 0; first < num_words; first += kBlockWords) {
+    const std::size_t n = std::min(kBlockWords, num_words - first);
+    std::array<Word, kBlockWords> acc;
+    acc.fill(~Word{0});
+    if (first + n == num_words && tail != 0) {
+      acc[n - 1] = (Word{1} << tail) - 1;
+    }
+    bool any = true;
+    for (int attr = 0; attr < num_attributes && any; ++attr) {
+      narrow(attr, first, n, acc.data());
+      any = std::any_of(acc.begin(),
+                        acc.begin() + static_cast<std::ptrdiff_t>(n),
+                        [](Word w) { return w != 0; });
+    }
+    if (!any) continue;
+    for (std::size_t j = 0; j < n; ++j) hits += std::popcount(acc[j]);
+    if (hits >= 2) return 2;
+  }
+  return hits;
+}
+
+}  // namespace
+
 bool PackedMupIndex::IsDominated(const PackedPattern& pattern) const {
   if (mups_.empty()) return false;
-  // AND over attributes of (wildcard | value) candidate vectors — identical
-  // to MupDominanceIndex::IsDominated, cells read through the codec.
-  BitVector acc(mups_.size(), true);
-  BitVector scratch;
-  const int d = static_cast<int>(offsets_.size());
-  for (int i = 0; i < d; ++i) {
-    const Value v = codec_->cell(pattern, i);
-    if (v != kWildcard) {
-      scratch = wildcard_index(i);
-      scratch.OrWith(value_index(i, v));
-      acc.AndWith(scratch);
-    } else {
-      acc.AndWith(wildcard_index(i));
-    }
-    if (acc.None()) return false;
-  }
-  const std::size_t hits = acc.Count();
+  // A dominating MUP has a wildcard wherever `pattern` does, and a wildcard
+  // or the same value wherever `pattern` is deterministic — the AND over
+  // attributes of MupDominanceIndex::IsDominated, cells read through the
+  // codec.
+  const int hits = HitsUpToTwo(
+      mups_.size(), static_cast<int>(offsets_.size()),
+      [&](int attr, std::size_t first, std::size_t n, Word* acc) {
+        const Word* wildcard = wildcard_index(attr).words().data() + first;
+        const Value v = codec_->cell(pattern, attr);
+        if (v == kWildcard) {
+          for (std::size_t j = 0; j < n; ++j) acc[j] &= wildcard[j];
+          return;
+        }
+        const Word* value = value_index(attr, v).words().data() + first;
+        for (std::size_t j = 0; j < n; ++j) acc[j] &= wildcard[j] | value[j];
+      });
   if (hits == 0) return false;
   if (hits > 1) return true;
   return !member_index_.contains(pattern);
@@ -102,15 +147,15 @@ bool PackedMupIndex::IsDominated(const PackedPattern& pattern) const {
 
 bool PackedMupIndex::DominatesSome(const PackedPattern& pattern) const {
   if (mups_.empty()) return false;
-  BitVector acc(mups_.size(), true);
-  const int d = static_cast<int>(offsets_.size());
-  for (int i = 0; i < d; ++i) {
-    const Value v = codec_->cell(pattern, i);
-    if (v == kWildcard) continue;
-    acc.AndWith(value_index(i, v));
-    if (acc.None()) return false;
-  }
-  const std::size_t hits = acc.Count();
+  // A dominated MUP carries `pattern`'s value on every deterministic cell.
+  const int hits = HitsUpToTwo(
+      mups_.size(), static_cast<int>(offsets_.size()),
+      [&](int attr, std::size_t first, std::size_t n, Word* acc) {
+        const Value v = codec_->cell(pattern, attr);
+        if (v == kWildcard) return;
+        const Word* value = value_index(attr, v).words().data() + first;
+        for (std::size_t j = 0; j < n; ++j) acc[j] &= value[j];
+      });
   if (hits == 0) return false;
   if (hits > 1) return true;
   return !member_index_.contains(pattern);

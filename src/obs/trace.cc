@@ -9,13 +9,14 @@ namespace coverage {
 namespace obs {
 
 void Trace::AddStage(const std::string& name, double seconds) {
-  for (auto& [existing, total] : stages_) {
+  auto& into = open_scopes_ > 0 ? substages_ : stages_;
+  for (auto& [existing, total] : into) {
     if (existing == name) {
       total += seconds;
       return;
     }
   }
-  stages_.emplace_back(name, seconds);
+  into.emplace_back(name, seconds);
 }
 
 double Trace::StageSum() const {

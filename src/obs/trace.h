@@ -28,21 +28,33 @@ class Trace {
 
   /// Records `seconds` against `name`, accumulating when the stage was
   /// already recorded (a retried stage folds into one entry; first-seen
-  /// order is preserved).
+  /// order is preserved). Recorded while a ScopedStage on this trace is
+  /// open, it is a sub-stage of that scope.
   void AddStage(const std::string& name, double seconds);
 
-  /// Stages in first-seen order.
+  /// Top-level stages in first-seen order. They never overlap, so their
+  /// sum is bounded by the request's wall time.
   const std::vector<std::pair<std::string, double>>& stages() const {
     return stages_;
   }
 
-  /// Sum of every recorded stage; the edge compares this against the
+  /// Stages timed inside another stage, e.g. PATTERN-BREAKER's
+  /// `search_level_<k>` inside `search`, in first-seen order.
+  const std::vector<std::pair<std::string, double>>& substages() const {
+    return substages_;
+  }
+
+  /// Sum of the top-level stages; the edge compares this against the
   /// request's total to expose unattributed time.
   double StageSum() const;
 
  private:
+  friend class ScopedStage;
+
   std::string id_;
   std::vector<std::pair<std::string, double>> stages_;
+  std::vector<std::pair<std::string, double>> substages_;
+  int open_scopes_ = 0;
 };
 
 /// RAII stage scope: times its own lifetime and records it on the trace at
@@ -56,9 +68,13 @@ class Trace {
 class ScopedStage {
  public:
   ScopedStage(Trace* trace, std::string name)
-      : trace_(trace), name_(std::move(name)) {}
+      : trace_(trace), name_(std::move(name)) {
+    if (trace_ != nullptr) ++trace_->open_scopes_;
+  }
   ~ScopedStage() {
-    if (trace_ != nullptr) trace_->AddStage(name_, timer_.ElapsedSeconds());
+    if (trace_ == nullptr) return;
+    --trace_->open_scopes_;
+    trace_->AddStage(name_, timer_.ElapsedSeconds());
   }
 
   ScopedStage(const ScopedStage&) = delete;

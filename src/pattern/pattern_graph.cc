@@ -1,32 +1,37 @@
 #include "pattern/pattern_graph.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace coverage {
 
 namespace {
 
-// Walks all subsets of attributes of size `remaining` starting at `attr`,
-// multiplying cardinalities; accumulates into `total` with saturation.
-void SumSubsetProducts(const Schema& schema, int attr, int remaining,
-                       std::uint64_t product, std::uint64_t& total) {
-  if (remaining == 0) {
-    if (total > Schema::kCombinationLimit - product) {
-      total = Schema::kCombinationLimit;
-    } else {
-      total += product;
-    }
-    return;
-  }
-  for (int i = attr; i <= schema.num_attributes() - remaining; ++i) {
+std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
+  return a > Schema::kCombinationLimit - b ? Schema::kCombinationLimit
+                                           : a + b;
+}
+
+// Node counts of levels 0..max_level, saturated at kCombinationLimit: the
+// elementary symmetric polynomials of the cardinalities, built one
+// attribute at a time (a level-ℓ node either leaves attribute i a wildcard
+// or fixes one of its c_i values). O(d · max_level).
+std::vector<std::uint64_t> LevelCounts(const Schema& schema, int max_level) {
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(max_level) + 1,
+                                    0);
+  counts[0] = 1;
+  for (int i = 0; i < schema.num_attributes(); ++i) {
     const auto c = static_cast<std::uint64_t>(schema.cardinality(i));
-    if (product > Schema::kCombinationLimit / c) {
-      total = Schema::kCombinationLimit;
-      return;
+    for (int l = std::min(i + 1, max_level); l >= 1; --l) {
+      const std::uint64_t below = counts[static_cast<std::size_t>(l - 1)];
+      const std::uint64_t fixed = below > Schema::kCombinationLimit / c
+                                      ? Schema::kCombinationLimit
+                                      : below * c;
+      counts[static_cast<std::size_t>(l)] =
+          SaturatingAdd(counts[static_cast<std::size_t>(l)], fixed);
     }
-    SumSubsetProducts(schema, i + 1, remaining - 1, product * c, total);
-    if (total == Schema::kCombinationLimit) return;
   }
+  return counts;
 }
 
 void EnumerateLevelRec(const Schema& schema, const Pattern& current, int attr,
@@ -54,8 +59,16 @@ void EnumerateLevelRec(const Schema& schema, const Pattern& current, int attr,
 
 std::uint64_t PatternGraph::NumNodesAtLevel(int level) const {
   assert(level >= 0 && level <= schema_.num_attributes());
+  return LevelCounts(schema_, level).back();
+}
+
+std::uint64_t PatternGraph::NumNodesUpToLevel(int max_level) const {
+  assert(max_level >= 0);
   std::uint64_t total = 0;
-  SumSubsetProducts(schema_, 0, level, 1, total);
+  for (const std::uint64_t n :
+       LevelCounts(schema_, std::min(max_level, schema_.num_attributes()))) {
+    total = SaturatingAdd(total, n);
+  }
   return total;
 }
 

@@ -25,6 +25,11 @@ class PatternGraph {
   /// Π_{i∈S} c_i. (For uniform cardinality c this is C(d, ℓ)·c^ℓ.)
   std::uint64_t NumNodesAtLevel(int level) const;
 
+  /// Nodes at levels 0..max_level — what a search capped at `max_level`
+  /// can visit. Equals NumNodes() once max_level >= d (up to saturation at
+  /// Schema::kCombinationLimit).
+  std::uint64_t NumNodesUpToLevel(int max_level) const;
+
   /// Number of parent-child edges: each node at level ℓ has
   /// Σ_{wildcard i} c_i children. (For uniform cardinality c this totals
   /// c·d·(c+1)^{d-1}, the closed form verified in §III-B.)

@@ -568,12 +568,14 @@ Response CoverageServer::Handle(const Request& request) {
   const RouteSeries& series = it != routes_.end() ? it->second : unrouted_;
   series.latency->Observe(seconds);
   if (error) series.errors->Increment();
-  for (const auto& [stage, stage_seconds] : trace.stages()) {
-    metrics_
-        ->GetHistogram("coverage_stage_seconds",
-                       "Per-stage request latency from the trace spans",
-                       {{"stage", stage}})
-        ->Observe(stage_seconds);
+  for (const auto* list : {&trace.stages(), &trace.substages()}) {
+    for (const auto& [stage, stage_seconds] : *list) {
+      metrics_
+          ->GetHistogram("coverage_stage_seconds",
+                         "Per-stage request latency from the trace spans",
+                         {{"stage", stage}})
+          ->Observe(stage_seconds);
+    }
   }
 
   // Opt-in timing section: ?timing=1 folds the trace into the JSON body.
@@ -581,13 +583,19 @@ Response CoverageServer::Handle(const Request& request) {
       !response.body.empty()) {
     auto parsed = json::Parse(response.body);
     if (parsed.ok() && parsed->is_object()) {
-      JsonValue::Object stages;
-      for (const auto& [stage, stage_seconds] : trace.stages()) {
-        stages[stage] = stage_seconds;
-      }
+      const auto to_object = [](const auto& list) {
+        JsonValue::Object out;
+        for (const auto& [stage, stage_seconds] : list) {
+          out[stage] = stage_seconds;
+        }
+        return out;
+      };
       JsonValue::Object timing;
       timing["request_id"] = trace.id();
-      timing["stages"] = std::move(stages);
+      timing["stages"] = to_object(trace.stages());
+      if (!trace.substages().empty()) {
+        timing["substages"] = to_object(trace.substages());
+      }
       timing["total_seconds"] = seconds;
       parsed->AsObject()["timing"] = std::move(timing);
       response.body = json::Serialize(*parsed);
@@ -602,8 +610,10 @@ Response CoverageServer::Handle(const Request& request) {
         .Str("request_id", trace.id())
         .Double("seconds", seconds)
         .Int("status", response.status);
-    for (const auto& [stage, stage_seconds] : trace.stages()) {
-      event.Double(stage, stage_seconds);
+    for (const auto* list : {&trace.stages(), &trace.substages()}) {
+      for (const auto& [stage, stage_seconds] : *list) {
+        event.Double(stage, stage_seconds);
+      }
     }
   }
   return response;

@@ -261,7 +261,7 @@ TEST_F(CliRunTest, AuditAlgoAutoReportsPlannerDecision) {
             0)
       << err.str();
   // The planner's concrete pick and its rationale are surfaced.
-  EXPECT_NE(out.str().find("discovery: DEEPDIVER"), std::string::npos)
+  EXPECT_NE(out.str().find("discovery: PATTERN-BREAKER"), std::string::npos)
       << out.str();
   EXPECT_NE(out.str().find("planner:"), std::string::npos);
 }

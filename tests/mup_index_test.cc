@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
+#include "mups/packed_index.h"
+#include "pattern/packed_pattern.h"
 
 namespace coverage {
 namespace {
@@ -268,6 +271,89 @@ TEST(MupDominanceIndex, RandomAddRemoveAgreesWithDirectChecks) {
     EXPECT_EQ(index.IsDominated(p), dominated) << p.ToString();
     EXPECT_EQ(index.DominatesSome(p), dominates) << p.ToString();
   }
+}
+
+TEST(PackedMupIndex, RandomAddRemoveAgreesWithDirectChecks) {
+  // The packed index's fused dominance kernels against the definition:
+  // after Adds, AddBatches and Removes that cross several 64-bit words,
+  // every probe — members, the root, descendants with one or many
+  // dominating MUPs — answers like a scan of the surviving set.
+  const Schema schema = Schema::Uniform({40, 2, 3, 2});
+  auto codec = PatternCodec::Build(schema);
+  ASSERT_TRUE(codec.ok()) << codec.status().ToString();
+  PackedMupIndex index(schema, *codec);
+  std::vector<Pattern> live;
+  Rng rng(91);
+  const auto random_pattern = [&](Rng& r) {
+    return Pattern({static_cast<Value>(r.NextInt(-1, 39)),
+                    static_cast<Value>(r.NextInt(-1, 1)),
+                    static_cast<Value>(r.NextInt(-1, 2)),
+                    static_cast<Value>(r.NextInt(-1, 1))});
+  };
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.NextUint64(4);
+    if (op == 0 && !live.empty()) {
+      const std::size_t pick = rng.NextUint64(live.size());
+      ASSERT_TRUE(index.Remove(codec->Encode(live[pick])));
+      live[pick] = live.back();
+      live.pop_back();
+    } else if (op == 1) {
+      std::vector<PackedPattern> batch;
+      for (int k = 0; k < 5; ++k) {
+        const Pattern p = random_pattern(rng);
+        const PackedPattern packed = codec->Encode(p);
+        if (index.Contains(packed) ||
+            std::find(batch.begin(), batch.end(), packed) != batch.end()) {
+          continue;
+        }
+        batch.push_back(packed);
+        live.push_back(p);
+      }
+      index.AddBatch(batch);
+    } else {
+      const Pattern p = random_pattern(rng);
+      if (index.Contains(codec->Encode(p))) continue;
+      index.Add(codec->Encode(p));
+      live.push_back(p);
+    }
+  }
+  ASSERT_EQ(index.size(), live.size());
+  ASSERT_GT(live.size(), 128u);  // spans at least three words
+
+  std::vector<Pattern> probes = live;
+  probes.push_back(Pattern({kWildcard, kWildcard, kWildcard, kWildcard}));
+  Rng probe_rng(92);
+  for (int trial = 0; trial < 1000; ++trial) {
+    probes.push_back(random_pattern(probe_rng));
+  }
+  for (const Pattern& p : probes) {
+    bool dominated = false, dominates = false, member = false;
+    for (const Pattern& m : live) {
+      dominated = dominated || m.Dominates(p);
+      dominates = dominates || p.Dominates(m);
+      member = member || m == p;
+    }
+    const PackedPattern packed = codec->Encode(p);
+    EXPECT_EQ(index.Contains(packed), member) << p.ToString();
+    EXPECT_EQ(index.IsDominated(packed), dominated) << p.ToString();
+    EXPECT_EQ(index.DominatesSome(packed), dominates) << p.ToString();
+  }
+}
+
+TEST(PackedMupIndex, RootProbeCountsOnlyLiveSlots) {
+  // The root fixes no cell, so DominatesSome(root) ANDs no index vector at
+  // all: only the live slots of the last word may count as hits.
+  const Schema schema = Schema::Uniform({3, 2});
+  auto codec = PatternCodec::Build(schema);
+  ASSERT_TRUE(codec.ok()) << codec.status().ToString();
+  PackedMupIndex index(schema, *codec);
+  index.Add(codec->Root());
+  EXPECT_FALSE(index.DominatesSome(codec->Root()));
+  EXPECT_FALSE(index.IsDominated(codec->Root()));
+  ASSERT_TRUE(index.Remove(codec->Root()));
+  index.Add(codec->Encode(Pattern({1, kWildcard})));
+  EXPECT_TRUE(index.DominatesSome(codec->Root()));
+  EXPECT_FALSE(index.IsDominated(codec->Root()));
 }
 
 }  // namespace

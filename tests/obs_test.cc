@@ -407,6 +407,27 @@ TEST(Trace, ScopedStageIsNullSafe) {
   EXPECT_GE(trace.stages()[0].second, 0.0);
 }
 
+TEST(Trace, StagesOpenedInsideAScopeAreSubstages) {
+  Trace trace("r-test-3");
+  {
+    ScopedStage outer(&trace, "search");
+    { ScopedStage level(&trace, "search_level_0"); }
+    { ScopedStage level(&trace, "search_level_1"); }
+  }
+  { ScopedStage after(&trace, "encode"); }
+  ASSERT_EQ(trace.stages().size(), 2u);
+  EXPECT_EQ(trace.stages()[0].first, "search");
+  EXPECT_EQ(trace.stages()[1].first, "encode");
+  ASSERT_EQ(trace.substages().size(), 2u);
+  EXPECT_EQ(trace.substages()[0].first, "search_level_0");
+  EXPECT_EQ(trace.substages()[1].first, "search_level_1");
+  // The levels ran inside "search": the top-level sum counts them once.
+  EXPECT_GE(trace.stages()[0].second,
+            trace.substages()[0].second + trace.substages()[1].second);
+  EXPECT_DOUBLE_EQ(trace.StageSum(),
+                   trace.stages()[0].second + trace.stages()[1].second);
+}
+
 TEST(Trace, GeneratedIdsAreUnique) {
   const std::string a = GenerateTraceId();
   const std::string b = GenerateTraceId();

@@ -63,6 +63,22 @@ TEST(PatternGraph, MixedCardinalityLevelSum) {
   EXPECT_EQ(graph.NumNodes(), 3u * 4u * 5u);
 }
 
+TEST(PatternGraph, NodesUpToLevelIsAPrefixSum) {
+  // What a level-capped search can visit: 1 + 9 + 26 + 24 at ℓ <= 3 for
+  // cards {2,3,4}, all nodes once the cap reaches d.
+  PatternGraph graph(Schema::Uniform({2, 3, 4}));
+  EXPECT_EQ(graph.NumNodesUpToLevel(0), 1u);
+  EXPECT_EQ(graph.NumNodesUpToLevel(1), 10u);
+  EXPECT_EQ(graph.NumNodesUpToLevel(2), 36u);
+  EXPECT_EQ(graph.NumNodesUpToLevel(3), graph.NumNodes());
+  EXPECT_EQ(graph.NumNodesUpToLevel(9), graph.NumNodes());
+  // 3^200 nodes saturate instead of wrapping; a shallow cap stays exact:
+  // 1 + 2·200 + 4·C(200,2).
+  PatternGraph huge(Schema::Binary(200));
+  EXPECT_EQ(huge.NumNodesUpToLevel(200), Schema::kCombinationLimit);
+  EXPECT_EQ(huge.NumNodesUpToLevel(2), 1u + 400u + 4u * 19900u);
+}
+
 TEST(PatternGraph, EnumerateAllMatchesCount) {
   const Schema schema = Schema::Uniform({2, 3});
   PatternGraph graph(schema);

@@ -1,9 +1,9 @@
 // The kAuto planner's worker pick (PlannerDecision::num_threads): serial
 // callers get byte-identical rationales (the golden CLI transcripts pin
-// them), small pattern graphs stay serial regardless of the cap, large
-// graphs fan out up to the root's fan-out, and the service-level audit
-// clamps the pick to the shared ThreadBudget and releases the reservation
-// when the search returns.
+// them), small explored graphs stay serial regardless of the cap — a level
+// cap sizes the graph by levels 0..max_level — large ones fan out up to the
+// root's fan-out, and the service-level audit clamps the pick to the shared
+// ThreadBudget and releases the reservation when the search returns.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +13,13 @@
 
 #include "common/rng.h"
 #include "coverage/bitmap_coverage.h"
+#include "datagen/airbnb.h"
 #include "datagen/compas.h"
 #include "dataset/aggregate.h"
 #include "dataset/dataset.h"
 #include "dataset/schema.h"
 #include "mups/mups.h"
+#include "pattern/pattern_graph.h"
 #include "service/coverage_service.h"
 #include "service/pool_arena.h"
 
@@ -83,6 +85,58 @@ TEST(PlannerThreads, LargeGraphFansOutUpToRootFanOut) {
   EXPECT_EQ(wide.num_threads, 28);
   EXPECT_NE(wide.rationale.find("28 workers (root fan-out 28"),
             std::string::npos);
+}
+
+/// The planner's pick for an AirBnB schema of width `d` under `max_level`
+/// (-1: no caller cap) with a 4-worker cap.
+PlannerDecision PlanAirbnb(int d, int max_level) {
+  const AggregatedData agg(datagen::MakeAirbnb(200, d));
+  MupSearchOptions options;
+  options.tau = 100;
+  options.max_level = max_level;
+  options.num_threads = 4;
+  return PlanMupSearch(agg, options);
+}
+
+TEST(PlannerThreads, LevelCapSizesTheExploredGraph) {
+  // d=13 under ℓ<=3: 2^13 full nodes, but only 2,627 at levels 0..3 — the
+  // search over those is too small to fan out.
+  ASSERT_GE(PatternGraph(datagen::MakeAirbnb(10, 13).schema())
+                .NumNodes(),
+            kPlannerParallelMinPatternGraph);
+  const PlannerDecision small = PlanAirbnb(13, 3);
+  EXPECT_EQ(small.num_threads, 1);
+  EXPECT_NE(small.rationale.find("graph 2627 nodes at level <= 3"),
+            std::string::npos)
+      << small.rationale;
+
+  // d=30 under ℓ<=3 (34,281 nodes) and d=12 under ℓ<=5 (35,313 nodes)
+  // clear the threshold and take the cap.
+  const PlannerDecision wide = PlanAirbnb(30, 3);
+  EXPECT_EQ(wide.num_threads, 4);
+  EXPECT_NE(wide.rationale.find("graph 34281 nodes at level <= 3"),
+            std::string::npos)
+      << wide.rationale;
+  const PlannerDecision lambda5 = PlanAirbnb(12, 5);
+  EXPECT_EQ(lambda5.num_threads, 4);
+  EXPECT_NE(lambda5.rationale.find("graph 35313 nodes at level <= 5"),
+            std::string::npos)
+      << lambda5.rationale;
+}
+
+TEST(PlannerThreads, WideClampSizesByTheClampedLevels) {
+  // No caller cap on a 3^31-node graph: the planner's own ℓ<=3 clamp is
+  // what the search explores, and that is what sizes the workers.
+  const PlannerDecision decision = PlanAirbnb(31, -1);
+  ASSERT_EQ(decision.max_level, kPlannerWideMaxLevel);
+  const std::uint64_t explored =
+      PatternGraph(datagen::MakeAirbnb(10, 31).schema())
+          .NumNodesUpToLevel(kPlannerWideMaxLevel);
+  EXPECT_NE(decision.rationale.find("graph " + std::to_string(explored) +
+                                    " nodes at level <= 3"),
+            std::string::npos)
+      << decision.rationale;
+  EXPECT_EQ(decision.num_threads, 4);
 }
 
 TEST(PlannerThreads, AutoDispatchMatchesSerialMupSet) {

@@ -180,6 +180,13 @@ TEST_F(ServerObsTest, TimingParamAddsStageBreakdown) {
   EXPECT_GT(stage_sum, 0.0);
   EXPECT_LE(stage_sum, total + 1e-6);
 
+  // The planner's PATTERN-BREAKER times each BFS level inside "search";
+  // those nest under "substages" instead of double-counting in "stages".
+  const JsonValue* substages = timing->Find("substages");
+  ASSERT_NE(substages, nullptr) << response.body;
+  EXPECT_NE(substages->Find("search_level_0"), nullptr);
+  EXPECT_EQ(stages->Find("search_level_0"), nullptr);
+
   // The audit payload itself is untouched by the timing add-on.
   EXPECT_NE(body->Find("mups"), nullptr);
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "datagen/airbnb.h"
 #include "datagen/compas.h"
 #include "pattern/pattern_graph.h"
+#include "service/pool_arena.h"
 
 namespace coverage {
 namespace {
@@ -224,17 +226,19 @@ TEST(Service, ExplicitAlgorithmIsHonoured) {
 
 // --------------------------------------------------- planner decision table --
 
-TEST(Planner, DenseDataPicksDeepDiver) {
-  // COMPAS covers ~69% of its 224-combination space: deep MUPs.
+TEST(Planner, DenseDataPicksPatternBreaker) {
+  // COMPAS covers ~69% of its 224-combination space (deep MUPs); density
+  // does not steer the planner.
   const AggregatedData agg(datagen::MakeCompas(2000, 3).data);
   const PlannerDecision decision = PlanMupSearch(agg, MupSearchOptions{});
-  EXPECT_EQ(decision.algorithm, MupAlgorithm::kDeepDiver);
+  EXPECT_EQ(decision.algorithm, MupAlgorithm::kPatternBreaker);
   EXPECT_EQ(decision.max_level, -1);
-  EXPECT_NE(decision.rationale.find("DEEPDIVER"), std::string::npos);
+  EXPECT_EQ(decision.num_threads, 1);
+  EXPECT_NE(decision.rationale.find("PATTERN-BREAKER"), std::string::npos);
 }
 
 TEST(Planner, SparseDataPicksPatternBreaker) {
-  // 40 distinct rows over a 10^4 space: density 0.4% <= 1/16.
+  // 40 distinct rows over a 10^4 space: density 0.4%.
   const Schema schema = Schema::Uniform({10, 10, 10, 10});
   Rng rng(5);
   Dataset data(schema);
@@ -258,14 +262,14 @@ TEST(Planner, WideSchemaFallsBackToLevelLimitedSearch) {
   const AggregatedData agg(data);
   ASSERT_GT(agg.schema().NumPatterns(), kPlannerPatternGraphBudget);
   const PlannerDecision decision = PlanMupSearch(agg, MupSearchOptions{});
-  EXPECT_EQ(decision.algorithm, MupAlgorithm::kDeepDiver);
+  EXPECT_EQ(decision.algorithm, MupAlgorithm::kPatternBreaker);
   EXPECT_EQ(decision.max_level, kPlannerWideMaxLevel);
-  EXPECT_NE(decision.rationale.find("level-limited"), std::string::npos);
+  EXPECT_NE(decision.rationale.find("level-limited PATTERN-BREAKER"),
+            std::string::npos);
 }
 
 TEST(Planner, ExplicitLevelCapDisablesWideFallback) {
-  // A caller-set cap means the wide-schema clamp must not override it; the
-  // density rule decides the algorithm (200 rows over 2^31 combos: sparse).
+  // A caller-set cap means the wide-schema clamp must not override it.
   const Dataset data = datagen::MakeAirbnb(200, 31);
   const AggregatedData agg(data);
   MupSearchOptions options;
@@ -273,6 +277,7 @@ TEST(Planner, ExplicitLevelCapDisablesWideFallback) {
   const PlannerDecision decision = PlanMupSearch(agg, options);
   EXPECT_EQ(decision.max_level, 2);
   EXPECT_EQ(decision.algorithm, MupAlgorithm::kPatternBreaker);
+  EXPECT_EQ(decision.rationale.find("level-limited"), std::string::npos);
 }
 
 TEST(Planner, FindMupsAutoMatchesResolvedAlgorithm) {
@@ -288,6 +293,35 @@ TEST(Planner, FindMupsAutoMatchesResolvedAlgorithm) {
   const auto direct = FindMups(decision.algorithm, oracle, resolved);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(Render(*via_auto), Render(*direct));
+}
+
+TEST(Planner, AutoAuditIsThreadCountInvariant) {
+  // The planner's PATTERN-BREAKER merges each BFS level deterministically,
+  // so a kAuto audit returns the same MUPs *and* the same work counters
+  // whether it runs on 1 worker or 4.
+  const Dataset data = datagen::MakeAirbnb(20000, 10);
+  ServiceOptions serial_options;
+  serial_options.num_threads = 1;
+  ServiceOptions parallel_options;
+  parallel_options.num_threads = 4;
+  parallel_options.thread_budget = std::make_shared<ThreadBudget>(0);
+  const auto serial = MustBuild(data, serial_options);
+  const auto parallel = MustBuild(data, parallel_options);
+
+  AuditRequest request;
+  request.tau = 40;
+  const auto one = serial.Audit(request);
+  const auto four = parallel.Audit(request);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_TRUE(four.ok()) << four.status().ToString();
+  EXPECT_EQ(one->algorithm, "PATTERN-BREAKER");
+  EXPECT_EQ(four->algorithm, "PATTERN-BREAKER");
+  ASSERT_NE(four->planner_rationale.find("4 workers"), std::string::npos)
+      << four->planner_rationale;
+  ASSERT_FALSE(one->mups.empty());
+  EXPECT_EQ(Render(four->mups), Render(one->mups));
+  EXPECT_EQ(four->stats.coverage_queries, one->stats.coverage_queries);
+  EXPECT_EQ(four->stats.nodes_generated, one->stats.nodes_generated);
 }
 
 // -------------------------------------------------- ingestion-path parity --
