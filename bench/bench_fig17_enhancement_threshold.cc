@@ -67,14 +67,14 @@ int main() {
       MupSearchOptions limited = search;
       limited.max_level = 3;
       const auto mups = FindMupsDeepDiver(oracle, limited);
-      EnhancementOptions options;
-      options.tau = search.tau;
-      options.lambda = 3;
-      options.use_naive_greedy = true;
-      options.enumeration_limit = 1u << 21;
       Stopwatch timer;
-      auto plan = PlanCoverageEnhancement(oracle, mups, options);
-      const double seconds = plan.ok() ? timer.ElapsedSeconds() : -1.0;
+      auto targets =
+          UncoveredPatternsAtLevel(mups, data.schema(), 3, 1u << 21);
+      const bool solved =
+          targets.ok() && NaiveGreedyHittingSet(*targets, data.schema(),
+                                                nullptr, nullptr, 1u << 21)
+                              .ok();
+      const double seconds = solved ? timer.ElapsedSeconds() : -1.0;
       row.Cell(bench::SecondsCell(seconds));
       json.Row()
           .Field("n", static_cast<std::uint64_t>(n))

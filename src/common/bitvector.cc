@@ -126,6 +126,30 @@ std::size_t BitVector::AndCount(const BitVector& other) const {
   return total;
 }
 
+// GCC and Clang emit an ifunc resolver for target_clones on x86-64 ELF; the
+// "default" clone is the portable loop (a libgcc popcount call without
+// -mpopcnt), the "popcnt" clone inlines the instruction.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define COVERAGE_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
+#endif
+#endif
+#ifndef COVERAGE_POPCNT_CLONES
+#define COVERAGE_POPCNT_CLONES
+#endif
+
+COVERAGE_POPCNT_CLONES
+std::size_t AndCountWords(const BitVector::Word* a, const BitVector::Word* b,
+                          BitVector::Word* out, std::size_t num_words) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < num_words; ++i) {
+    const BitVector::Word w = a[i] & b[i];
+    out[i] = w;
+    total += static_cast<std::size_t>(std::popcount(w));
+  }
+  return total;
+}
+
 std::uint64_t BitVector::Dot(const std::vector<std::uint64_t>& counts) const {
   assert(counts.size() == num_bits_);
   std::uint64_t total = 0;

@@ -147,6 +147,16 @@ class BitVector {
   std::size_t num_bits_ = 0;
 };
 
+/// Writes `a[i] & b[i]` to `out[i]` for every `i < num_words` and returns
+/// the popcount of the result: the fused child-vector kernel of the greedy
+/// hitting set's DFS, one pass per child and no second count. `out` may
+/// alias `a` or `b`. On x86-64 the definition is compiled twice (with and
+/// without the POPCNT instruction) and the loader picks the clone the CPU
+/// supports, so hardware popcount needs no build flag; other targets get
+/// the portable loop.
+std::size_t AndCountWords(const BitVector::Word* a, const BitVector::Word* b,
+                          BitVector::Word* out, std::size_t num_words);
+
 }  // namespace coverage
 
 #endif  // COVERAGE_COMMON_BITVECTOR_H_

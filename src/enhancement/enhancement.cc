@@ -8,38 +8,30 @@ namespace coverage {
 
 namespace {
 
-/// Runs the configured hitting-set solver over `targets` and assembles the
-/// plan, computing per-item copy counts from current coverage.
-StatusOr<CoveragePlan> SolveOverTargets(const BitmapCoverage& oracle,
-                                        std::vector<Pattern> targets,
-                                        const EnhancementOptions& options) {
+/// Runs the greedy hitting set over `targets` and assembles the plan,
+/// computing per-item copy counts from current coverage.
+CoveragePlan SolveOverTargets(const BitmapCoverage& oracle,
+                              std::vector<Pattern> targets,
+                              const EnhancementOptions& options) {
   CoveragePlan plan;
-  HittingSetResult hs;
-  if (options.use_naive_greedy) {
-    auto solved =
-        NaiveGreedyHittingSet(targets, oracle.data().schema(), options.oracle,
-                              &plan.stats, options.enumeration_limit);
-    if (!solved.ok()) return solved.status();
-    hs = std::move(*solved);
-  } else {
-    hs = GreedyHittingSet(targets, oracle.data().schema(), options.oracle,
-                          &plan.stats);
-  }
+  HittingSetResult hs = [&] {
+    obs::ScopedStage stage(options.trace, "hitting_set");
+    return GreedyHittingSet(targets, oracle.data().schema(), options.oracle,
+                            &plan.stats);
+  }();
 
   // A pick is responsible for the targets it newly hit; to push each of them
   // to τ it must be collected max(τ - cov) times. (Later picks may also hit
   // them, so this is a safe upper bound per pattern and exact when matches
   // are disjoint.)
-  std::vector<bool> assigned(targets.size(), false);
+  obs::ScopedStage stage(options.trace, "copies");
   QueryContext ctx;
   for (std::size_t k = 0; k < hs.combinations.size(); ++k) {
     AcquisitionItem item;
     item.combination = std::move(hs.combinations[k]);
     item.generalized = hs.generalized[k];
     std::uint64_t copies = 1;
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      if (assigned[j] || !targets[j].Matches(item.combination)) continue;
-      assigned[j] = true;
+    for (std::size_t j : hs.newly_hit[k]) {
       const std::uint64_t cov = oracle.Coverage(targets[j], ctx);
       if (cov < options.tau) copies = std::max(copies, options.tau - cov);
     }
@@ -62,9 +54,11 @@ std::uint64_t CoveragePlan::TotalTuples() const {
 StatusOr<CoveragePlan> PlanCoverageEnhancement(
     const BitmapCoverage& oracle, const std::vector<Pattern>& mups,
     const EnhancementOptions& options) {
-  auto targets =
-      UncoveredPatternsAtLevel(mups, oracle.data().schema(), options.lambda,
-                               options.enumeration_limit);
+  auto targets = [&] {
+    obs::ScopedStage stage(options.trace, "expand");
+    return UncoveredPatternsAtLevel(mups, oracle.data().schema(),
+                                    options.lambda, options.enumeration_limit);
+  }();
   if (!targets.ok()) return targets.status();
   return SolveOverTargets(oracle, std::move(*targets), options);
 }
@@ -72,9 +66,12 @@ StatusOr<CoveragePlan> PlanCoverageEnhancement(
 StatusOr<CoveragePlan> PlanCoverageEnhancementByValueCount(
     const BitmapCoverage& oracle, const std::vector<Pattern>& mups,
     std::uint64_t min_value_count, const EnhancementOptions& options) {
-  auto targets = UncoveredPatternsByValueCount(mups, oracle.data().schema(),
-                                               min_value_count,
-                                               options.enumeration_limit);
+  auto targets = [&] {
+    obs::ScopedStage stage(options.trace, "expand");
+    return UncoveredPatternsByValueCount(mups, oracle.data().schema(),
+                                         min_value_count,
+                                         options.enumeration_limit);
+  }();
   if (!targets.ok()) return targets.status();
   return SolveOverTargets(oracle, std::move(*targets), options);
 }

@@ -8,6 +8,7 @@
 #include "coverage/bitmap_coverage.h"
 #include "enhancement/hitting_set.h"
 #include "enhancement/validation.h"
+#include "obs/trace.h"
 #include "pattern/pattern.h"
 
 namespace coverage {
@@ -24,12 +25,13 @@ struct EnhancementOptions {
   /// Optional semantic-feasibility oracle (Definitions 10/11); may be null.
   const ValidationOracle* oracle = nullptr;
 
-  /// Use the naive per-iteration full enumeration instead of the indexed
-  /// GREEDY (for the Fig. 17 baseline comparison).
-  bool use_naive_greedy = false;
-
-  /// Guard for the Appendix-C expansion and the naive solver.
+  /// Guard for the Appendix-C expansion.
   std::uint64_t enumeration_limit = std::uint64_t{1} << 26;
+
+  /// Optional request trace: planning records the stages `expand` (targets
+  /// from the MUPs), `hitting_set` (the greedy) and `copies` (per-pick copy
+  /// counts). Owned by the calling thread.
+  obs::Trace* trace = nullptr;
 };
 
 /// One acquisition instruction: collect `copies` tuples matching

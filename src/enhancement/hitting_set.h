@@ -36,6 +36,11 @@ struct HittingSetResult {
   /// Per pick, how many patterns it newly hit (the greedy gain sequence).
   std::vector<std::size_t> gains;
 
+  /// Per pick, the indices (into the input patterns, ascending) of the
+  /// patterns it newly hit; newly_hit[k].size() == gains[k]. Every input
+  /// pattern appears in exactly one list or in `unresolvable`.
+  std::vector<std::vector<std::size_t>> newly_hit;
+
   /// Patterns that no valid combination matches (every matching combination
   /// violates a validation rule). Empty when there is no oracle.
   std::vector<Pattern> unresolvable;
@@ -43,10 +48,12 @@ struct HittingSetResult {
 
 /// §IV-B, Algorithms 4 + 5: the greedy hitting-set approximation with
 /// per-(attribute, value) inverted indices over the patterns and a DFS over
-/// the value tree that orders children by remaining-hit upper bound and
-/// prunes with the incumbent hit count. The validation oracle (may be null)
-/// is consulted before descending into a child, so only semantically valid
-/// combinations are produced.
+/// the value tree that orders children by remaining-hit upper bound (ties by
+/// value) and prunes with the incumbent hit count. The validation oracle
+/// (may be null) is consulted before descending into a child, so only
+/// semantically valid combinations are produced. The indices are rebuilt
+/// over the patterns still unhit after every pick, and the DFS runs on
+/// scratch allocated once per solve.
 HittingSetResult GreedyHittingSet(const std::vector<Pattern>& patterns,
                                   const Schema& schema,
                                   const ValidationOracle* oracle = nullptr,

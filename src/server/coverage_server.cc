@@ -648,7 +648,7 @@ Response CoverageServer::Dispatch(const Request& request,
       return HandleAudit(request.body, AcceptsBinary(request), trace);
     }
     if (path == "/v1/enhance" && route("POST /v1/enhance")) {
-      return HandleEnhance(request.body);
+      return HandleEnhance(request.body, trace);
     }
     if (path == "/v1/query" && route("POST /v1/query")) {
       return HandleQuery(request.body, AcceptsBinary(request), trace);
@@ -847,13 +847,18 @@ Response CoverageServer::HandleAudit(const std::string& body, bool binary,
   return OkJson(wire::ToJson(*result, service_.schema()));
 }
 
-Response CoverageServer::HandleEnhance(const std::string& body) {
-  auto parsed = ParseBody(body);
-  if (!parsed.ok()) return ErrorResponse(parsed.status());
-  auto request = wire::EnhanceRequestFromJson(*parsed, service_.schema());
+Response CoverageServer::HandleEnhance(const std::string& body,
+                                       obs::Trace* trace) {
+  StatusOr<EnhanceRequest> request = [&]() -> StatusOr<EnhanceRequest> {
+    obs::ScopedStage stage(trace, "parse");
+    auto parsed = ParseBody(body);
+    if (!parsed.ok()) return parsed.status();
+    return wire::EnhanceRequestFromJson(*parsed, service_.schema());
+  }();
   if (!request.ok()) return ErrorResponse(request.status());
-  auto plan = service_.Enhance(*request);
+  auto plan = service_.Enhance(*request, trace);
   if (!plan.ok()) return ErrorResponse(plan.status());
+  obs::ScopedStage stage(trace, "encode");
   return OkJson(wire::ToJson(*plan, service_.schema()));
 }
 

@@ -186,7 +186,7 @@ class CoverageServer {
   /// the handler should answer in wire v2 (errors stay JSON regardless).
   http::Response HandleAudit(const std::string& body, bool binary,
                              obs::Trace* trace);
-  http::Response HandleEnhance(const std::string& body);
+  http::Response HandleEnhance(const std::string& body, obs::Trace* trace);
   http::Response HandleQuery(const std::string& body, bool binary,
                              obs::Trace* trace);
   http::Response HandleSchema() const;

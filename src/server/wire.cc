@@ -201,14 +201,6 @@ Status MaybeInt(const JsonValue& v, const std::string& key, int* out) {
   return Status::OK();
 }
 
-Status MaybeBool(const JsonValue& v, const std::string& key, bool* out) {
-  if (v.Find(key) == nullptr) return Status::OK();
-  auto parsed = v.GetBool(key);
-  if (!parsed.ok()) return parsed.status();
-  *out = *parsed;
-  return Status::OK();
-}
-
 StatusOr<MupSearchOptions::DominanceMode> DominanceModeFromName(
     const std::string& name) {
   if (name == "bitmap") return MupSearchOptions::DominanceMode::kBitmapIndex;
@@ -286,15 +278,13 @@ StatusOr<AuditRequest> AuditRequestFromJson(const JsonValue& v) {
 StatusOr<EnhanceRequest> EnhanceRequestFromJson(const JsonValue& v,
                                                 const Schema& schema) {
   COVERAGE_RETURN_IF_ERROR(RejectUnknownMembers(
-      v, {"tau", "lambda", "rules", "min_value_count", "use_naive_greedy",
-          "enumeration_limit", "mups"}));
+      v, {"tau", "lambda", "rules", "min_value_count", "enumeration_limit",
+          "mups"}));
   EnhanceRequest request;
   COVERAGE_RETURN_IF_ERROR(MaybeUint(v, "tau", &request.tau));
   COVERAGE_RETURN_IF_ERROR(MaybeInt(v, "lambda", &request.lambda));
   COVERAGE_RETURN_IF_ERROR(
       MaybeUint(v, "min_value_count", &request.min_value_count));
-  COVERAGE_RETURN_IF_ERROR(
-      MaybeBool(v, "use_naive_greedy", &request.use_naive_greedy));
   COVERAGE_RETURN_IF_ERROR(
       MaybeUint(v, "enumeration_limit", &request.enumeration_limit));
   if (const JsonValue* rules = v.Find("rules")) {

@@ -52,7 +52,7 @@ StatusOr<MupAlgorithm> AlgorithmFromName(const std::string& name);
 StatusOr<AuditRequest> AuditRequestFromJson(const json::JsonValue& v);
 
 /// {"tau", "lambda", "rules": ["A in {x, y}"], "min_value_count",
-///  "use_naive_greedy", "enumeration_limit", "mups": ["X1X0", ...]}.
+///  "enumeration_limit", "mups": ["X1X0", ...]}.
 StatusOr<EnhanceRequest> EnhanceRequestFromJson(const json::JsonValue& v,
                                                 const Schema& schema);
 

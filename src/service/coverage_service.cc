@@ -354,8 +354,8 @@ StatusOr<AuditResult> CoverageService::Audit(const AuditRequest& request,
   return result;
 }
 
-StatusOr<CoveragePlan> CoverageService::Enhance(
-    const EnhanceRequest& request) const {
+StatusOr<CoveragePlan> CoverageService::Enhance(const EnhanceRequest& request,
+                                                obs::Trace* trace) const {
   COVERAGE_RETURN_IF_ERROR(request.Validate());
   if (request.lambda > schema().num_attributes()) {
     return Status::InvalidArgument(
@@ -385,6 +385,8 @@ StatusOr<CoveragePlan> CoverageService::Enhance(
     search.max_level = request.lambda;
     search.num_threads = options_.num_threads;
     search.enumeration_limit = request.enumeration_limit;
+    search.trace = trace;
+    obs::ScopedStage stage(trace, "search");
     auto found = FindMups(MupAlgorithm::kAuto, *oracle_, search);
     if (!found.ok()) return found.status();
     mups = std::move(*found);
@@ -394,8 +396,8 @@ StatusOr<CoveragePlan> CoverageService::Enhance(
   eopts.tau = request.tau;
   eopts.lambda = request.lambda;
   eopts.oracle = validator;
-  eopts.use_naive_greedy = request.use_naive_greedy;
   eopts.enumeration_limit = request.enumeration_limit;
+  eopts.trace = trace;
   if (request.min_value_count > 0) {
     return PlanCoverageEnhancementByValueCount(*oracle_, mups,
                                                request.min_value_count, eopts);

@@ -190,10 +190,6 @@ struct EnhanceRequest {
   /// value count is >= this must reach τ (Definition 7).
   std::uint64_t min_value_count = 0;
 
-  /// Use the per-iteration full enumeration instead of the indexed GREEDY
-  /// (the Fig. 17 baseline).
-  bool use_naive_greedy = false;
-
   std::uint64_t enumeration_limit = std::uint64_t{1} << 26;
 
   Status Validate() const;
@@ -401,7 +397,10 @@ class CoverageService {
   /// per-level `search_level_<k>` stages.
   StatusOr<AuditResult> Audit(const AuditRequest& request,
                               obs::Trace* trace = nullptr) const;
-  StatusOr<CoveragePlan> Enhance(const EnhanceRequest& request) const;
+  /// A non-null `trace` receives `search` (MUP discovery, skipped when the
+  /// request brings its MUPs), `expand`, `hitting_set` and `copies`.
+  StatusOr<CoveragePlan> Enhance(const EnhanceRequest& request,
+                                 obs::Trace* trace = nullptr) const;
   StatusOr<QueryOutcome> Query(const QueryRequest& request) const;
   StatusOr<QueryBatchResult> QueryBatch(const QueryBatchRequest& request,
                                         obs::Trace* trace = nullptr) const;

@@ -412,5 +412,23 @@ TEST(AndChainDot, PaddingBitsDoNotLeak) {
   EXPECT_EQ(BitVector::AndChainDot(ptrs.data(), 2, counts), 210u);
 }
 
+TEST(AndCountWords, WritesIntersectionAndReturnsItsCount) {
+  std::mt19937_64 rng(77);
+  for (std::size_t n : {0u, 1u, 3u, 17u}) {
+    std::vector<BitVector::Word> a(n), b(n), out(n, ~BitVector::Word{0});
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng();
+      b[i] = rng();
+      expected += static_cast<std::size_t>(__builtin_popcountll(a[i] & b[i]));
+    }
+    EXPECT_EQ(AndCountWords(a.data(), b.data(), out.data(), n), expected);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], a[i] & b[i]);
+    // In place: the DFS narrows a scratch row by the pick's rows.
+    EXPECT_EQ(AndCountWords(a.data(), b.data(), a.data(), n), expected);
+    EXPECT_EQ(a, out);
+  }
+}
+
 }  // namespace
 }  // namespace coverage

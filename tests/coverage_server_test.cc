@@ -189,6 +189,9 @@ TEST_F(CoverageServerTest, ErrorsMapOntoHttpStatusCodes) {
        "invalid_argument"},
       {"bad algorithm", "/v1/audit", R"({"algorithm": "quantum"})", 400,
        "invalid_argument"},
+      {"removed enhance member", "/v1/enhance",
+       R"({"tau": 30, "lambda": 1, "use_naive_greedy": true})", 400,
+       "invalid_argument"},
       {"bad pattern width", "/v1/query", R"({"patterns": ["XX"]})", 400,
        "invalid_argument"},
       {"queries and patterns", "/v1/query",

@@ -149,6 +149,44 @@ TEST_F(ServerObsTest, GeneratesAndEchoesRequestIds) {
 
 // ----------------------------------------------------------- ?timing=1 --
 
+TEST_F(ServerObsTest, TimingSplitsEnhanceIntoStages) {
+  const Response response = server_->Handle(MakeRequest(
+      "POST", "/v1/enhance?timing=1", R"({"tau": 30, "lambda": 2})"));
+  ASSERT_EQ(response.status, 200) << response.body;
+  auto body = json::Parse(response.body);
+  ASSERT_TRUE(body.ok());
+  EXPECT_NE(body->Find("items"), nullptr) << response.body;
+  const JsonValue* timing = body->Find("timing");
+  ASSERT_NE(timing, nullptr) << response.body;
+  const JsonValue* stages = timing->Find("stages");
+  ASSERT_NE(stages, nullptr);
+  for (const char* name :
+       {"parse", "search", "expand", "hitting_set", "copies", "encode"}) {
+    EXPECT_NE(stages->Find(name), nullptr) << name << ": " << response.body;
+  }
+  const double total = timing->Find("total_seconds")->AsDouble();
+  double stage_sum = 0.0;
+  for (const auto& [name, seconds] : stages->AsObject()) {
+    EXPECT_GE(seconds.AsDouble(), 0.0) << name;
+    stage_sum += seconds.AsDouble();
+  }
+  EXPECT_GT(stage_sum, 0.0);
+  EXPECT_LE(stage_sum, total + 1e-6);
+
+  // MUPs supplied by the caller skip discovery: no "search" stage.
+  const Response planned = server_->Handle(
+      MakeRequest("POST", "/v1/enhance?timing=1",
+                  R"({"tau": 30, "lambda": 1, "mups": ["1XXX"]})"));
+  ASSERT_EQ(planned.status, 200) << planned.body;
+  auto planned_body = json::Parse(planned.body);
+  ASSERT_TRUE(planned_body.ok());
+  const JsonValue* planned_stages =
+      planned_body->Find("timing")->Find("stages");
+  ASSERT_NE(planned_stages, nullptr);
+  EXPECT_EQ(planned_stages->Find("search"), nullptr) << planned.body;
+  EXPECT_NE(planned_stages->Find("hitting_set"), nullptr) << planned.body;
+}
+
 TEST_F(ServerObsTest, TimingParamAddsStageBreakdown) {
   const Response response = server_->Handle(
       MakeRequest("POST", "/v1/audit?timing=1", R"({"tau": 30})"));
