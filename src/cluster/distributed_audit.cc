@@ -192,7 +192,6 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
   std::vector<Pattern> queue;
   queue.push_back(Pattern::Root(d));
   std::vector<Pattern> mups;
-  std::unordered_set<Pattern, PatternHash> mup_set;
   std::unordered_set<Pattern, PatternHash> prev_covered;
   DistributedAuditStats& stats = result.stats;
   stats.nodes_generated = 1;
@@ -209,9 +208,7 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
       for (int a = 0; a < d && !skip; ++a) {
         if (!p.is_deterministic(a)) continue;
         const Pattern parent = p.WithCell(a, kWildcard);
-        if (!prev_covered.contains(parent) || mup_set.contains(parent)) {
-          skip = true;
-        }
+        if (!prev_covered.contains(parent)) skip = true;
       }
       if (skip) continue;
       ++stats.nodes_evaluated;
@@ -274,7 +271,6 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
         case NodeState::kPending:
           return Status::Internal("BFS node left pending after scatter");
         case NodeState::kMup:
-          mup_set.insert(p);
           mups.push_back(p);
           break;
         case NodeState::kCovered:

@@ -87,7 +87,10 @@ class Arena {
     std::size_t size = next_chunk_bytes_;
     if (size < at_least) size = at_least;
     next_chunk_bytes_ = size * 2;
-    chunks_.push_back(Chunk{std::make_unique<char[]>(size), size});
+    // Not zero-filled: callers initialise what they read, and a fresh chunk
+    // then costs page faults only where it is written.
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<char[]>(size), size});
     chunk_ = chunks_.size() - 1;
     cursor_ = 0;
   }

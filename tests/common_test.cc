@@ -206,7 +206,7 @@ TEST(TablePrinter, MixedCellTypes) {
 TEST(Stopwatch, MeasuresNonNegativeTime) {
   Stopwatch sw;
   volatile double sink = 0;
-  for (int i = 0; i < 10000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 10000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds());
   sw.Restart();

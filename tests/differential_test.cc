@@ -311,6 +311,74 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCase{{4, 4}, 12, 1, 114, 0.6, DominanceMode::kBitmapIndex, 4}),
     CaseName);
 
+// Both sides of the rank bound. The packed PATTERN-BREAKER remembers covered
+// nodes in a rank-indexed bitset while Π (cᵢ+1) <= kPlannerPatternGraphBudget
+// and in a packed-key hash set above it. 13 attributes of cardinality 3 give
+// Π = 4^13 = 2^26 exactly (bitset, at its largest); a cardinality-7 attribute
+// in place of one of them gives 4^12 · 8 = 2^27 (hash set, level-capped like
+// the planner's wide searches). Either way the search must match legacy
+// exactly, serial and with workers reading the shared covered set. Its own
+// fixture runs PATTERN-BREAKER only: the sweep's PATTERN-COMBINER case
+// would enumerate all 3^13 or more full combinations of these schemas.
+struct RankBoundCase {
+  std::vector<int> cardinalities;
+  int max_level;
+  bool rank_path;
+  int num_threads;
+};
+
+class PackedLegacyRankBound : public ::testing::TestWithParam<RankBoundCase> {
+};
+
+TEST_P(PackedLegacyRankBound, PatternBreakerBitIdentical) {
+  const RankBoundCase& c = GetParam();
+  const Dataset data = GenerateSkewed(c.cardinalities, 300, 121, 0.6);
+  const AggregatedData agg(data);
+  const BitmapCoverage oracle(agg);
+  const std::uint64_t num_patterns = agg.schema().NumPatterns();
+  if (c.rank_path) {
+    EXPECT_EQ(num_patterns, kPlannerPatternGraphBudget);
+  } else {
+    EXPECT_EQ(num_patterns, 2 * kPlannerPatternGraphBudget);
+  }
+  MupSearchOptions options{.tau = 15};
+  options.max_level = c.max_level;
+  options.num_threads = c.num_threads;
+
+  MupSearchStats legacy_stats, packed_stats;
+  options.use_packed_representation = false;
+  const auto legacy = FindMupsPatternBreaker(oracle, options, &legacy_stats);
+  options.use_packed_representation = true;
+  const auto packed = FindMupsPatternBreaker(oracle, options, &packed_stats);
+
+  ASSERT_FALSE(legacy.empty());
+  EXPECT_EQ(legacy, packed);
+  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
+  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
+  EXPECT_EQ(legacy_stats.num_mups, packed_stats.num_mups);
+}
+
+std::string RankBoundName(
+    const ::testing::TestParamInfo<RankBoundCase>& info) {
+  return std::string(info.param.rank_path ? "Bitset" : "Hash") + "_t" +
+         std::to_string(info.param.num_threads);
+}
+
+std::vector<int> RankBound26() { return std::vector<int>(13, 3); }
+std::vector<int> RankBound27() {
+  std::vector<int> cards(13, 3);
+  cards.back() = 7;
+  return cards;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bound, PackedLegacyRankBound,
+    ::testing::Values(RankBoundCase{RankBound26(), -1, true, 1},
+                      RankBoundCase{RankBound26(), -1, true, 4},
+                      RankBoundCase{RankBound27(), 3, false, 1},
+                      RankBoundCase{RankBound27(), 3, false, 4}),
+    RankBoundName);
+
 TEST(PackedFallback, WideSchemaRoutesToLegacy) {
   // 50 binary attributes (2 packed bits each) plus 160 cardinality-1
   // attributes (1 bit each) need 260 bits > PackedPattern's 256-bit
