@@ -117,18 +117,6 @@ const char* AlgorithmWireName(MupAlgorithm algorithm) {
   return "auto";
 }
 
-const char* DominanceWireName(MupSearchOptions::DominanceMode mode) {
-  switch (mode) {
-    case MupSearchOptions::DominanceMode::kBitmapIndex:
-      return "bitmap";
-    case MupSearchOptions::DominanceMode::kLinearScan:
-      return "scan";
-    case MupSearchOptions::DominanceMode::kNoPruning:
-      return "none";
-  }
-  return "bitmap";
-}
-
 }  // namespace
 
 std::string AuditRequestJson(const AuditRequest& request) {
@@ -136,7 +124,6 @@ std::string AuditRequestJson(const AuditRequest& request) {
   o["tau"] = request.tau;
   o["max_level"] = request.max_level;
   o["algorithm"] = AlgorithmWireName(request.algorithm);
-  o["dominance_mode"] = DominanceWireName(request.dominance_mode);
   o["enumeration_limit"] = request.enumeration_limit;
   return json::Serialize(json::JsonValue(std::move(o)));
 }

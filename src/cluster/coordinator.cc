@@ -535,7 +535,6 @@ Response ClusterCoordinator::HandleAudit(const std::string& body,
   DistributedAuditOptions options;
   options.tau = request->tau;
   options.max_level = request->max_level;
-  options.dominance_mode = request->dominance_mode;
   options.shard_algorithm = request->algorithm;
   options.enumeration_limit = request->enumeration_limit;
   options.max_batch_patterns = options_.max_batch_patterns;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -14,8 +13,6 @@ namespace coverage {
 namespace cluster {
 
 namespace {
-
-using DominanceMode = MupSearchOptions::DominanceMode;
 
 /// Runs `fn(shard_index)` once per shard, concurrently. Shard RPCs are
 /// dominated by network/search latency, so one thread per shard (the caller
@@ -50,53 +47,26 @@ Status FirstError(const std::vector<ShardBackend*>& shards,
 }
 
 /// Tier 1: "is `p` under shard i's local-MUP antichain?" — i.e. still
-/// possibly uncovered there. The three modes are the repo's ablation knob:
-/// identical answers, different cost (kNoPruning answers "yes" so every
-/// node pays the exact tier).
+/// possibly uncovered there — answered by one Appendix-B index per shard.
 class DownClosureCheck {
  public:
-  DownClosureCheck(const Schema& schema, DominanceMode mode,
-                   const std::vector<ShardCandidatesResponse>& candidates)
-      : mode_(mode), candidates_(candidates) {
-    if (mode_ == DominanceMode::kBitmapIndex) {
-      indices_.reserve(candidates.size());
-      for (const ShardCandidatesResponse& c : candidates) {
-        auto index = std::make_unique<MupDominanceIndex>(schema);
-        index->AddBatch(c.audit.mups);
-        indices_.push_back(std::move(index));
-      }
+  DownClosureCheck(const Schema& schema,
+                   const std::vector<ShardCandidatesResponse>& candidates) {
+    indices_.reserve(candidates.size());
+    for (const ShardCandidatesResponse& c : candidates) {
+      indices_.emplace_back(schema).AddBatch(c.audit.mups);
     }
   }
 
   bool MaybeUncoveredEverywhere(const Pattern& p) const {
-    switch (mode_) {
-      case DominanceMode::kBitmapIndex:
-        for (const auto& index : indices_) {
-          if (!index->Contains(p) && !index->IsDominated(p)) return false;
-        }
-        return true;
-      case DominanceMode::kLinearScan:
-        for (const ShardCandidatesResponse& c : candidates_) {
-          bool under = false;
-          for (const Pattern& m : c.audit.mups) {
-            if (m.DominatesOrEquals(p)) {
-              under = true;
-              break;
-            }
-          }
-          if (!under) return false;
-        }
-        return true;
-      case DominanceMode::kNoPruning:
-        return true;
+    for (const MupDominanceIndex& index : indices_) {
+      if (!index.Contains(p) && !index.IsDominated(p)) return false;
     }
     return true;
   }
 
  private:
-  DominanceMode mode_;
-  const std::vector<ShardCandidatesResponse>& candidates_;
-  std::vector<std::unique_ptr<MupDominanceIndex>> indices_;
+  std::vector<MupDominanceIndex> indices_;
 };
 
 enum class NodeState : std::uint8_t { kSkipped, kPending, kCovered, kMup };
@@ -148,7 +118,6 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
   shard_request.tau = options.tau;
   shard_request.max_level = options.max_level;
   shard_request.algorithm = options.shard_algorithm;
-  shard_request.dominance_mode = options.dominance_mode;
   shard_request.enumeration_limit = options.enumeration_limit;
   COVERAGE_RETURN_IF_ERROR(shard_request.Validate());
 
@@ -184,7 +153,7 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
   result.max_level = cap;
   const int bfs_max = cap < 0 ? d : std::min(cap, d);
 
-  const DownClosureCheck closure(schema, options.dominance_mode, candidates);
+  const DownClosureCheck closure(schema, candidates);
 
   // --- Phase 2: the PATTERN-BREAKER BFS, verbatim except that the coverage
   // probe is tier-1-or-scatter. See pattern_breaker.cc for the structure

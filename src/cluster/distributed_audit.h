@@ -44,12 +44,7 @@ namespace cluster {
 /// Because both tiers decide exactly cov(P) ≥ τ and the BFS structure is
 /// the single-node one, the result is bit-identical to auditing the
 /// concatenated rows on one node — the property tests prove it across shard
-/// counts × dominance modes.
-///
-/// The dominance_mode knob mirrors the repo's ablation modes and picks how
-/// tier 1 consults the antichains: kBitmapIndex uses the Appendix-B index,
-/// kLinearScan scans the antichain, kNoPruning disables tier 1 entirely
-/// (every surviving node pays an RPC). Identical output, different cost.
+/// counts. Tier 1 consults each antichain through the Appendix-B index.
 ///
 /// Level caps: a shard may clamp an unlimited search on wide schemas (the
 /// planner's §V-C3 fallback); the BFS then runs to the *minimum* effective
@@ -59,10 +54,6 @@ namespace cluster {
 struct DistributedAuditOptions {
   std::uint64_t tau = 30;  ///< global coverage threshold (>= 1)
   int max_level = -1;      ///< BFS depth cap; -1 = unlimited
-
-  /// Tier-1 strategy (ablation knob; identical output).
-  MupSearchOptions::DominanceMode dominance_mode =
-      MupSearchOptions::DominanceMode::kBitmapIndex;
 
   /// Algorithm each shard runs for its local candidate search.
   MupAlgorithm shard_algorithm = MupAlgorithm::kAuto;

@@ -38,12 +38,11 @@ class QueryContext {
 
 /// The coverage oracle of Appendix A: answers cov(P, D) (Definition 2).
 ///
-/// The primary entry points take an explicit QueryContext and are const in
-/// the strong sense: implementations must not mutate any member state, so
+/// Every entry point takes an explicit QueryContext and is const in the
+/// strong sense: implementations must not mutate any member state, so
 /// concurrent queries on one oracle are safe provided each thread uses its
-/// own context. The context-free overloads are single-threaded conveniences
-/// that route through an internal default context (which also backs
-/// `num_queries()`, the cost metric the search algorithms minimise).
+/// own context. Serial callers may pass default_context(), which backs
+/// `num_queries()` (the cost metric the search algorithms minimise).
 class CoverageOracle {
  public:
   virtual ~CoverageOracle() = default;
@@ -78,44 +77,19 @@ class CoverageOracle {
     return CoverageAtLeast(codec.Decode(pattern), tau, ctx);
   }
 
-  /// Single-threaded convenience overloads on the oracle's default context.
-  ///
-  /// Deprecated: the hidden mutable default context makes these a
-  /// thread-safety trap — two threads innocently calling `Coverage(p)` on a
-  /// shared oracle race on its scratch buffers. Pass an explicit
-  /// QueryContext (one per thread), or go through CoverageService, whose
-  /// batched query API manages contexts for you.
-  [[deprecated(
-      "routes through a hidden shared QueryContext; pass an explicit "
-      "context (or use CoverageService::QueryBatch)")]]
-  std::uint64_t Coverage(const Pattern& pattern) const {
-    return Coverage(pattern, default_context_);
-  }
-  [[deprecated(
-      "routes through a hidden shared QueryContext; pass an explicit "
-      "context (or use CoverageService::QueryBatch)")]]
-  bool CoverageAtLeast(const Pattern& pattern, std::uint64_t tau) const {
-    return CoverageAtLeast(pattern, tau, default_context_);
-  }
-
   /// True iff cov(pattern) >= tau (Definition 3).
-  [[deprecated(
-      "routes through a hidden shared QueryContext; pass an explicit "
-      "context (or use CoverageService::QueryBatch)")]]
-  bool IsCovered(const Pattern& pattern, std::uint64_t tau) const {
-    return CoverageAtLeast(pattern, tau, default_context_);
-  }
   bool IsCovered(const Pattern& pattern, std::uint64_t tau,
                  QueryContext& ctx) const {
     return CoverageAtLeast(pattern, tau, ctx);
   }
 
-  /// Number of Coverage() calls served through the default context.
+  /// Number of queries served through default_context().
   std::uint64_t num_queries() const { return default_context_.num_queries(); }
   void ResetQueryCounter() { default_context_.ResetQueryCounter(); }
 
-  /// The context behind the convenience overloads; exposed so serial callers
-  /// can mix both API styles against one counter.
+  /// The oracle's own context, for serial callers that want num_queries()
+  /// to count their queries. Not thread-safe: concurrent callers pass one
+  /// QueryContext each.
   QueryContext& default_context() const { return default_context_; }
 
  private:

@@ -19,28 +19,6 @@ namespace coverage {
 
 namespace {
 
-using DominanceMode = MupSearchOptions::DominanceMode;
-
-/// "Is `p` strictly dominated by a maintained MUP?" under the engine's
-/// dominance mode. `mups` is the live set (survivors + MUPs found so far
-/// this epoch); `index` is only populated in kBitmapIndex mode.
-bool IsDominatedByMups(const std::vector<Pattern>& mups,
-                       const MupDominanceIndex& index, DominanceMode mode,
-                       const Pattern& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.IsDominated(p);
-    case DominanceMode::kLinearScan:
-      for (const Pattern& m : mups) {
-        if (m.Dominates(p)) return true;
-      }
-      return false;
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
 /// Validates borrowed rows against `schema` (width + value ranges) and
 /// materialises them as a Dataset batch.
 Status EncodeRows(const Schema& schema,
@@ -420,7 +398,6 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   const std::uint64_t tau = options_.tau;
   const int d = schema_.num_attributes();
   const int max_level = options_.max_level < 0 ? d : options_.max_level;
-  const DominanceMode mode = options_.dominance_mode;
 
   std::vector<PackedPattern> old_packed;
   old_packed.reserve(old_mups.size());
@@ -473,21 +450,7 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
 
   // Phase 2 — re-seed the Appendix-B dominance index from the survivors.
   PackedMupIndex index(schema_, codec);
-  if (mode == DominanceMode::kBitmapIndex) index.AddBatch(mups);
-  const auto dominated_by_mups = [&](const PackedPattern& p) -> bool {
-    switch (mode) {
-      case DominanceMode::kBitmapIndex:
-        return index.IsDominated(p);
-      case DominanceMode::kLinearScan:
-        for (const PackedPattern& m : mups) {
-          if (m.Dominates(p)) return true;
-        }
-        return false;
-      case DominanceMode::kNoPruning:
-        return false;
-    }
-    return false;
-  };
+  index.AddBatch(mups);
 
   // Phase 3 — BFS over the covered region beneath the newly covered MUPs,
   // frontier and dedup set both arena-backed (the FIFO is an ArenaVector
@@ -516,7 +479,7 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
         }
         // Uncovered. Beneath a maintained MUP → not maximal, whole subtree
         // already accounted for.
-        if (dominated_by_mups(child)) continue;
+        if (index.IsDominated(child)) continue;
         // Maximal iff every parent is covered; `p` is one of them and is
         // known covered. Parents visit ascending, like Pattern::Parents().
         bool maximal = true;
@@ -531,7 +494,7 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
         if (!maximal) continue;
         mups.push_back(child);
         ++stats->mups_added;
-        if (mode == DominanceMode::kBitmapIndex) index.Add(child);
+        index.Add(child);
       }
     }
   }
@@ -552,7 +515,6 @@ std::vector<Pattern> CoverageEngine::UpdateMups(
   const std::uint64_t tau = options_.tau;
   const int d = schema.num_attributes();
   const int max_level = options_.max_level < 0 ? d : options_.max_level;
-  const DominanceMode mode = options_.dominance_mode;
 
   // Phase 1 — recheck every previous MUP against the grown counts. The
   // probes are independent, so they parallelise over the pool with a
@@ -595,7 +557,7 @@ std::vector<Pattern> CoverageEngine::UpdateMups(
   // Phase 2 — re-seed the Appendix-B dominance index from the survivors in
   // one batched append; fresh MUPs join it as they are found.
   MupDominanceIndex index(schema);
-  if (mode == DominanceMode::kBitmapIndex) index.AddBatch(mups);
+  index.AddBatch(mups);
 
   // Phase 3 — BFS over the covered region beneath the newly covered MUPs.
   // Insert monotonicity confines every fresh MUP to these subtrees: an
@@ -621,7 +583,7 @@ std::vector<Pattern> CoverageEngine::UpdateMups(
         }
         // Uncovered. Beneath a maintained MUP → not maximal, whole subtree
         // already accounted for.
-        if (IsDominatedByMups(mups, index, mode, child)) continue;
+        if (index.IsDominated(child)) continue;
         // Maximal iff every parent is covered; `p` is one of them and is
         // known covered.
         bool maximal = true;
@@ -635,7 +597,7 @@ std::vector<Pattern> CoverageEngine::UpdateMups(
         if (!maximal) continue;
         mups.push_back(child);
         ++stats->mups_added;
-        if (mode == DominanceMode::kBitmapIndex) index.Add(child);
+        index.Add(child);
       }
     }
   }
@@ -652,7 +614,6 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   const std::uint64_t tau = options_.tau;
   const int d = schema_.num_attributes();
   const int max_level = options_.max_level < 0 ? d : options_.max_level;
-  const DominanceMode mode = options_.dominance_mode;
 
   std::vector<PackedPattern> old_packed;
   old_packed.reserve(old_mups.size());
@@ -696,7 +657,7 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   // demoted MUPs.
   Arena arena;
   PackedMupIndex index(schema_, codec);
-  if (mode == DominanceMode::kBitmapIndex) index.AddBatch(old_packed);
+  index.AddBatch(old_packed);
   std::vector<PackedPattern> mups;  // survivors, then fresh discoveries
   PackedPatternSet member(&arena);
   for (std::size_t i = 0; i < old_packed.size(); ++i) {
@@ -704,7 +665,7 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
       mups.push_back(old_packed[i]);
       member.Insert(old_packed[i]);
     } else {
-      if (mode == DominanceMode::kBitmapIndex) index.Remove(old_packed[i]);
+      index.Remove(old_packed[i]);
       ++stats->mups_demoted;
     }
   }
@@ -728,34 +689,14 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
       const std::int8_t* hit = covered.Find(q);
       if (hit != nullptr) return *hit == 1;
     }
-    bool cov = false;
-    bool known = false;
-    switch (mode) {
-      case DominanceMode::kBitmapIndex:
-        if (index.Contains(q) || index.IsDominated(q)) {
-          known = true;  // a maintained MUP, or beneath one: uncovered
-        } else if (index.DominatesSome(q)) {
-          cov = true;  // generalises a covered parent of a maintained MUP
-          known = true;
-        }
-        break;
-      case DominanceMode::kLinearScan:
-        for (const PackedPattern& m : mups) {
-          if (m.DominatesOrEquals(q)) {
-            known = true;
-            break;
-          }
-          if (q.Dominates(m)) {
-            cov = true;
-            known = true;
-            break;
-          }
-        }
-        break;
-      case DominanceMode::kNoPruning:
-        break;
+    bool cov;
+    if (index.Contains(q) || index.IsDominated(q)) {
+      cov = false;  // a maintained MUP, or beneath one: uncovered
+    } else if (index.DominatesSome(q)) {
+      cov = true;  // generalises a covered parent of a maintained MUP
+    } else {
+      cov = oracle.CoverageAtLeast(q, codec, tau, ctx);
     }
-    if (!known) cov = oracle.CoverageAtLeast(q, codec, tau, ctx);
     covered.FindOrInsert(q, std::int8_t{-1}) = cov ? 1 : 0;
     if (!cov) queue.push_back(q);
     return cov;
@@ -772,7 +713,7 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
     if (!is_maximal || p.level() > max_level) continue;
     if (!member.Insert(p)) continue;  // already a survivor
     mups.push_back(p);
-    if (mode == DominanceMode::kBitmapIndex) index.Add(p);
+    index.Add(p);
     ++stats->mups_added;
   }
   stats->coverage_queries += ctx.num_queries();
@@ -786,9 +727,10 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
 std::vector<Pattern> CoverageEngine::RetractMups(
     const Snapshot& next, const std::vector<Pattern>& old_mups,
     std::vector<Pattern> seeds, EngineUpdateStats* stats) {
-  // No retracted combination crossed below τ ⇒ the MUP set is unchanged
-  // (see the comment below); checked here so both representations share the
-  // early exit.
+  // No retracted combination crossed below τ ⇒ the MUP set is unchanged:
+  // a demotion would need a parent below τ, which in turn forces a changed
+  // matched combination below τ — i.e. a seed. Skip all maintenance; checked
+  // here so both representations share the early exit.
   if (seeds.empty()) return old_mups;
   if (packed_ok_) return RetractMupsPacked(next, old_mups, seeds, stats);
   const BitmapCoverage& oracle = next.oracle();
@@ -796,12 +738,6 @@ std::vector<Pattern> CoverageEngine::RetractMups(
   const std::uint64_t tau = options_.tau;
   const int d = schema.num_attributes();
   const int max_level = options_.max_level < 0 ? d : options_.max_level;
-  const DominanceMode mode = options_.dominance_mode;
-
-  // No retracted combination crossed below τ ⇒ the MUP set is unchanged:
-  // a demotion would need a parent below τ, which in turn forces a changed
-  // matched combination below τ — i.e. a seed. Skip all maintenance.
-  if (seeds.empty()) return old_mups;
 
   // Phase 1 — deletion keeps every previous MUP uncovered, but maximality
   // can break: a parent whose count fell below τ is now an uncovered strict
@@ -844,7 +780,7 @@ std::vector<Pattern> CoverageEngine::RetractMups(
   // maximality (a pattern strictly dominating a maintained MUP generalises
   // one of its covered parents).
   MupDominanceIndex index(schema);
-  if (mode == DominanceMode::kBitmapIndex) index.AddBatch(old_mups);
+  index.AddBatch(old_mups);
   std::vector<Pattern> mups;  // survivors, then fresh discoveries
   std::unordered_set<Pattern, PatternHash> member;
   for (std::size_t i = 0; i < old_mups.size(); ++i) {
@@ -852,7 +788,7 @@ std::vector<Pattern> CoverageEngine::RetractMups(
       mups.push_back(old_mups[i]);
       member.insert(old_mups[i]);
     } else {
-      if (mode == DominanceMode::kBitmapIndex) index.Remove(old_mups[i]);
+      index.Remove(old_mups[i]);
       ++stats->mups_demoted;
     }
   }
@@ -878,34 +814,14 @@ std::vector<Pattern> CoverageEngine::RetractMups(
   const auto is_covered = [&](const Pattern& q) -> bool {
     const auto [it, inserted] = covered.try_emplace(q, false);
     if (!inserted) return it->second;
-    bool cov = false;
-    bool known = false;
-    switch (mode) {
-      case DominanceMode::kBitmapIndex:
-        if (index.Contains(q) || index.IsDominated(q)) {
-          known = true;  // a maintained MUP, or beneath one: uncovered
-        } else if (index.DominatesSome(q)) {
-          cov = true;  // generalises a covered parent of a maintained MUP
-          known = true;
-        }
-        break;
-      case DominanceMode::kLinearScan:
-        for (const Pattern& m : mups) {
-          if (m.DominatesOrEquals(q)) {
-            known = true;
-            break;
-          }
-          if (q.Dominates(m)) {
-            cov = true;
-            known = true;
-            break;
-          }
-        }
-        break;
-      case DominanceMode::kNoPruning:
-        break;
+    bool cov;
+    if (index.Contains(q) || index.IsDominated(q)) {
+      cov = false;  // a maintained MUP, or beneath one: uncovered
+    } else if (index.DominatesSome(q)) {
+      cov = true;  // generalises a covered parent of a maintained MUP
+    } else {
+      cov = oracle.CoverageAtLeast(q, tau, ctx);
     }
-    if (!known) cov = oracle.CoverageAtLeast(q, tau, ctx);
     it->second = cov;
     if (!cov) queue.push_back(q);
     return cov;
@@ -920,7 +836,7 @@ std::vector<Pattern> CoverageEngine::RetractMups(
     if (!is_maximal || p.level() > max_level) continue;
     if (!member.insert(p).second) continue;  // already a survivor
     mups.push_back(p);
-    if (mode == DominanceMode::kBitmapIndex) index.Add(p);
+    index.Add(p);
     ++stats->mups_added;
   }
   stats->coverage_queries += ctx.num_queries();

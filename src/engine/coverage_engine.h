@@ -45,11 +45,6 @@ struct EngineOptions {
   /// merged by index). 1 runs everything inline.
   int num_threads = 1;
 
-  /// Dominance strategy for the incremental maintenance pruning, mirroring
-  /// DEEPDIVER's ablation modes; all three produce identical MUP sets.
-  MupSearchOptions::DominanceMode dominance_mode =
-      MupSearchOptions::DominanceMode::kBitmapIndex;
-
   /// Sliding-window mode. When `window_max_rows > 0`, each append retains
   /// the batch and then evicts the *oldest retained batches whole* until at
   /// most window_max_rows rows remain (so a batch larger than the window

@@ -1,11 +1,8 @@
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "mups/packed_index.h"
@@ -16,7 +13,7 @@ namespace coverage {
 namespace {
 
 /// Covered/uncovered answers with a memo over packed keys; the memo table's
-/// storage comes from the worker's arena, so a dive session costs zero
+/// storage comes from the search's arena, so a dive session costs zero
 /// per-node allocations. See legacy_mups.cc for the role of the cache.
 class CachingCoverage {
  public:
@@ -43,43 +40,9 @@ class CachingCoverage {
 
 using DominanceMode = MupSearchOptions::DominanceMode;
 
-/// DominanceMode dispatch over the packed index; mirrors legacy_mups.cc.
-bool ModeIsDominated(const PackedMupIndex& index, DominanceMode mode,
-                     const PackedPattern& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.IsDominated(p);
-    case DominanceMode::kLinearScan: {
-      for (const PackedPattern& m : index.mups()) {
-        if (m.Dominates(p)) return true;
-      }
-      return false;
-    }
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
-bool ModeDominatesSome(const PackedMupIndex& index, DominanceMode mode,
-                       const PackedPattern& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.DominatesSome(p);
-    case DominanceMode::kLinearScan: {
-      for (const PackedPattern& m : index.mups()) {
-        if (p.Dominates(m)) return true;
-      }
-      return false;
-    }
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
-/// Discovered-MUP set for the serial search. Membership is exact in every
-/// mode (needed for termination).
+/// Discovered-MUP set with the dominance strategy selected by
+/// MupSearchOptions::dominance_mode (mirrors legacy_mups.cc). Membership is
+/// exact in every mode (needed for termination).
 class DominanceChecker {
  public:
   DominanceChecker(const Schema& schema, const PatternCodec& codec,
@@ -88,100 +51,42 @@ class DominanceChecker {
 
   void Add(const PackedPattern& mup) { index_.Add(mup); }
   bool Contains(const PackedPattern& p) const { return index_.Contains(p); }
+
   bool IsDominated(const PackedPattern& p) const {
-    return ModeIsDominated(index_, mode_, p);
+    switch (mode_) {
+      case DominanceMode::kBitmapIndex:
+        return index_.IsDominated(p);
+      case DominanceMode::kLinearScan:
+        for (const PackedPattern& m : index_.mups()) {
+          if (m.Dominates(p)) return true;
+        }
+        return false;
+      case DominanceMode::kNoPruning:
+        return false;
+    }
+    return false;
   }
+
   bool DominatesSome(const PackedPattern& p) const {
-    return ModeDominatesSome(index_, mode_, p);
+    switch (mode_) {
+      case DominanceMode::kBitmapIndex:
+        return index_.DominatesSome(p);
+      case DominanceMode::kLinearScan:
+        for (const PackedPattern& m : index_.mups()) {
+          if (p.Dominates(m)) return true;
+        }
+        return false;
+      case DominanceMode::kNoPruning:
+        return false;
+    }
+    return false;
   }
+
   const std::vector<PackedPattern>& mups() const { return index_.mups(); }
 
  private:
   DominanceMode mode_;
   PackedMupIndex index_;
-};
-
-/// The same strategies against the reader/writer-locked shared index.
-class SharedDominanceChecker {
- public:
-  SharedDominanceChecker(const Schema& schema, const PatternCodec& codec,
-                         DominanceMode mode)
-      : mode_(mode), index_(schema, codec) {}
-
-  bool AddIfAbsent(const PackedPattern& mup) {
-    return index_.AddIfAbsent(mup);
-  }
-  bool Contains(const PackedPattern& p) const { return index_.Contains(p); }
-  bool IsDominated(const PackedPattern& p) const {
-    return index_.WithReadLock([&](const PackedMupIndex& idx) {
-      return ModeIsDominated(idx, mode_, p);
-    });
-  }
-  bool DominatesSome(const PackedPattern& p) const {
-    return index_.WithReadLock([&](const PackedMupIndex& idx) {
-      return ModeDominatesSome(idx, mode_, p);
-    });
-  }
-  std::vector<PackedPattern> Snapshot() const { return index_.Snapshot(); }
-
- private:
-  DominanceMode mode_;
-  SharedPackedMupIndex index_;
-};
-
-/// The shared dive frontier (see legacy_mups.cc). PackedPattern is a small
-/// trivially copyable value, so the stack moves whole keys, not heap cells.
-class DiveQueue {
- public:
-  explicit DiveQueue(const PackedPattern& root) { stack_.push_back(root); }
-
-  bool Pop(PackedPattern& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (!stack_.empty()) {
-        out = stack_.back();
-        stack_.pop_back();
-        ++active_;
-        return true;
-      }
-      if (active_ == 0) {
-        cv_.notify_all();
-        return false;
-      }
-      cv_.wait(lock);
-    }
-  }
-
-  void Push(const PackedPattern* items, std::size_t count) {
-    if (count == 0) return;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      stack_.insert(stack_.end(), items, items + count);
-    }
-    cv_.notify_all();
-  }
-
-  void FinishItem() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (--active_ == 0 && stack_.empty()) cv_.notify_all();
-  }
-
-  class ItemGuard {
-   public:
-    explicit ItemGuard(DiveQueue& queue) : queue_(queue) {}
-    ~ItemGuard() { queue_.FinishItem(); }
-    ItemGuard(const ItemGuard&) = delete;
-    ItemGuard& operator=(const ItemGuard&) = delete;
-
-   private:
-    DiveQueue& queue_;
-  };
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<PackedPattern> stack_;
-  int active_ = 0;
 };
 
 /// Climbs from an uncovered node through uncovered parents until every
@@ -208,9 +113,9 @@ PackedPattern ClimbToMup(const PackedPattern& start, const PatternCodec& codec,
 }
 
 /// Appends p's Rule-1 children to `out`; returns how many were generated.
-template <typename Vec>
 std::size_t PushRule1Children(const PackedPattern& p, const PatternCodec& codec,
-                              const Schema& schema, Vec& out) {
+                              const Schema& schema,
+                              ArenaVector<PackedPattern>& out) {
   std::size_t generated = 0;
   const int d = codec.num_attributes();
   const int start = codec.RightmostDeterministic(p) + 1;
@@ -224,79 +129,13 @@ std::size_t PushRule1Children(const PackedPattern& p, const PatternCodec& codec,
   return generated;
 }
 
-std::vector<PackedPattern> FindMupsDeepDiverParallelPacked(
+}  // namespace
+
+std::vector<PackedPattern> FindMupsDeepDiverPacked(
     const CoverageOracle& oracle, const Schema& schema,
     const PatternCodec& codec, const MupSearchOptions& options,
     MupSearchStats* stats) {
-  const int d = schema.num_attributes();
-  const int max_level = options.max_level < 0 ? d : options.max_level;
-
-  SharedDominanceChecker index(schema, codec, options.dominance_mode);
-  DiveQueue queue(codec.Root());
-
-  ThreadPool pool(options.num_threads);
-  const int workers = pool.num_workers();
-  std::vector<std::uint64_t> worker_queries(
-      static_cast<std::size_t>(workers), 0);
-  std::vector<std::uint64_t> worker_generated(
-      static_cast<std::size_t>(workers), 0);
-  std::vector<std::uint64_t> worker_pruned(
-      static_cast<std::size_t>(workers), 0);
-
-  pool.RunOnAll([&](int worker) {
-    Arena arena;
-    CachingCoverage cov(oracle, codec, options.tau, &arena);
-    std::vector<PackedPattern> children;
-    std::uint64_t generated = 0;
-    std::uint64_t pruned = 0;
-    PackedPattern p;
-    while (queue.Pop(p)) {
-      const DiveQueue::ItemGuard guard(queue);
-      if (index.Contains(p) || index.IsDominated(p)) {
-        ++pruned;
-        continue;
-      }
-
-      bool covered;
-      if (index.DominatesSome(p)) {
-        covered = true;
-      } else {
-        covered = cov.Covered(p);
-      }
-
-      if (covered) {
-        if (p.level() < max_level) {
-          children.clear();
-          generated += PushRule1Children(p, codec, schema, children);
-          queue.Push(children.data(), children.size());
-        }
-        continue;
-      }
-
-      index.AddIfAbsent(ClimbToMup(p, codec, cov));
-    }
-    worker_queries[static_cast<std::size_t>(worker)] = cov.num_queries();
-    worker_generated[static_cast<std::size_t>(worker)] = generated;
-    worker_pruned[static_cast<std::size_t>(worker)] = pruned;
-  });
-
-  std::vector<PackedPattern> mups = index.Snapshot();
-  std::sort(mups.begin(), mups.end(), PackedLess{&codec});
-  if (stats != nullptr) {
-    for (int w = 0; w < workers; ++w) {
-      stats->coverage_queries += worker_queries[static_cast<std::size_t>(w)];
-      stats->nodes_generated += worker_generated[static_cast<std::size_t>(w)];
-      stats->nodes_pruned += worker_pruned[static_cast<std::size_t>(w)];
-    }
-    stats->nodes_generated += 1;  // the root
-  }
-  return mups;
-}
-
-std::vector<PackedPattern> FindMupsDeepDiverSerialPacked(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats) {
+  Stopwatch timer;
   const int d = schema.num_attributes();
   const int max_level = options.max_level < 0 ? d : options.max_level;
 
@@ -342,27 +181,7 @@ std::vector<PackedPattern> FindMupsDeepDiverSerialPacked(
     stats->nodes_generated = nodes_generated;
     stats->nodes_pruned = nodes_pruned;
     stats->num_mups = mups.size();
-  }
-  return mups;
-}
-
-}  // namespace
-
-std::vector<PackedPattern> FindMupsDeepDiverPacked(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats) {
-  Stopwatch timer;
-  if (stats != nullptr) stats->Reset();
-  std::vector<PackedPattern> mups =
-      options.num_threads > 1
-          ? FindMupsDeepDiverParallelPacked(oracle, schema, codec, options,
-                                            stats)
-          : FindMupsDeepDiverSerialPacked(oracle, schema, codec, options,
-                                          stats);
-  if (stats != nullptr) {
     stats->seconds = timer.ElapsedSeconds();
-    stats->num_mups = mups.size();
   }
   return mups;
 }

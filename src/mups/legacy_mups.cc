@@ -1,9 +1,7 @@
 #include "mups/legacy_mups.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -141,9 +139,7 @@ namespace {
 
 /// Covered/uncovered answers with a memo; the climb phase re-examines
 /// parents that later dives may touch again, so a small cache keeps the
-/// query count near the number of distinct nodes actually inspected. Each
-/// worker owns one instance (cache + QueryContext), so the shared oracle is
-/// only ever touched through per-thread state.
+/// query count near the number of distinct nodes actually inspected.
 class CachingCoverage {
  public:
   CachingCoverage(const CoverageOracle& oracle, std::uint64_t tau)
@@ -168,46 +164,10 @@ class CachingCoverage {
 
 using DominanceMode = MupSearchOptions::DominanceMode;
 
-/// The three dominance strategies of MupSearchOptions::DominanceMode over a
-/// discovered-MUP index. They differ in how — and whether — they answer the
-/// pruning queries; the single dispatch point keeps the serial and parallel
-/// searches semantically identical.
-bool ModeIsDominated(const MupDominanceIndex& index, DominanceMode mode,
-                     const Pattern& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.IsDominated(p);
-    case DominanceMode::kLinearScan: {
-      for (const Pattern& m : index.mups()) {
-        if (m.Dominates(p)) return true;
-      }
-      return false;
-    }
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
-bool ModeDominatesSome(const MupDominanceIndex& index, DominanceMode mode,
-                       const Pattern& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.DominatesSome(p);
-    case DominanceMode::kLinearScan: {
-      for (const Pattern& m : index.mups()) {
-        if (p.Dominates(m)) return true;
-      }
-      return false;
-    }
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
-/// Discovered-MUP set for the serial search. Membership is exact in every
-/// mode (needed for termination).
+/// Discovered-MUP set answering the pruning queries with the strategy
+/// selected by MupSearchOptions::dominance_mode: the Appendix-B index, a
+/// linear scan, or no pruning at all (the ablation study). Membership is
+/// exact in every mode (needed for termination).
 class DominanceChecker {
  public:
   DominanceChecker(const Schema& schema, DominanceMode mode)
@@ -215,104 +175,42 @@ class DominanceChecker {
 
   void Add(const Pattern& mup) { index_.Add(mup); }
   bool Contains(const Pattern& p) const { return index_.Contains(p); }
+
   bool IsDominated(const Pattern& p) const {
-    return ModeIsDominated(index_, mode_, p);
+    switch (mode_) {
+      case DominanceMode::kBitmapIndex:
+        return index_.IsDominated(p);
+      case DominanceMode::kLinearScan:
+        for (const Pattern& m : index_.mups()) {
+          if (m.Dominates(p)) return true;
+        }
+        return false;
+      case DominanceMode::kNoPruning:
+        return false;
+    }
+    return false;
   }
+
   bool DominatesSome(const Pattern& p) const {
-    return ModeDominatesSome(index_, mode_, p);
+    switch (mode_) {
+      case DominanceMode::kBitmapIndex:
+        return index_.DominatesSome(p);
+      case DominanceMode::kLinearScan:
+        for (const Pattern& m : index_.mups()) {
+          if (p.Dominates(m)) return true;
+        }
+        return false;
+      case DominanceMode::kNoPruning:
+        return false;
+    }
+    return false;
   }
+
   const std::vector<Pattern>& mups() const { return index_.mups(); }
 
  private:
   DominanceMode mode_;
   MupDominanceIndex index_;
-};
-
-/// The same strategies against the reader/writer-locked shared index.
-class SharedDominanceChecker {
- public:
-  SharedDominanceChecker(const Schema& schema, DominanceMode mode)
-      : mode_(mode), index_(schema) {}
-
-  bool AddIfAbsent(const Pattern& mup) { return index_.AddIfAbsent(mup); }
-  bool Contains(const Pattern& p) const { return index_.Contains(p); }
-  bool IsDominated(const Pattern& p) const {
-    return index_.WithReadLock([&](const MupDominanceIndex& idx) {
-      return ModeIsDominated(idx, mode_, p);
-    });
-  }
-  bool DominatesSome(const Pattern& p) const {
-    return index_.WithReadLock([&](const MupDominanceIndex& idx) {
-      return ModeDominatesSome(idx, mode_, p);
-    });
-  }
-  std::vector<Pattern> Snapshot() const { return index_.Snapshot(); }
-
- private:
-  DominanceMode mode_;
-  SharedMupDominanceIndex index_;
-};
-
-/// The shared dive frontier: a mutex-guarded LIFO plus the in-flight count
-/// that detects quiescence (empty stack alone is not termination — an active
-/// worker may still push children).
-class DiveQueue {
- public:
-  explicit DiveQueue(Pattern root) { stack_.push_back(std::move(root)); }
-
-  /// Blocks until an item is available (returning true) or every worker is
-  /// idle with an empty stack (returning false — the search is complete).
-  /// A successful pop marks the caller active until it calls FinishItem().
-  bool Pop(Pattern& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (!stack_.empty()) {
-        out = std::move(stack_.back());
-        stack_.pop_back();
-        ++active_;
-        return true;
-      }
-      if (active_ == 0) {
-        cv_.notify_all();
-        return false;
-      }
-      cv_.wait(lock);
-    }
-  }
-
-  void Push(std::vector<Pattern>&& items) {
-    if (items.empty()) return;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (Pattern& p : items) stack_.push_back(std::move(p));
-    }
-    cv_.notify_all();
-  }
-
-  void FinishItem() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (--active_ == 0 && stack_.empty()) cv_.notify_all();
-  }
-
-  /// Pairs every successful Pop with a FinishItem even if the dive body
-  /// throws; otherwise the active count never drains and the remaining
-  /// workers wait forever instead of seeing the exception propagate.
-  class ItemGuard {
-   public:
-    explicit ItemGuard(DiveQueue& queue) : queue_(queue) {}
-    ~ItemGuard() { queue_.FinishItem(); }
-    ItemGuard(const ItemGuard&) = delete;
-    ItemGuard& operator=(const ItemGuard&) = delete;
-
-   private:
-    DiveQueue& queue_;
-  };
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Pattern> stack_;
-  int active_ = 0;
 };
 
 /// Climbs from an uncovered node through uncovered parents until every
@@ -333,84 +231,13 @@ Pattern ClimbToMup(Pattern start, CachingCoverage& cov) {
   }
 }
 
-std::vector<Pattern> FindMupsDeepDiverParallel(const CoverageOracle& oracle,
-                                               const Schema& schema,
-                                               const MupSearchOptions& options,
-                                               MupSearchStats* stats) {
-  const int d = schema.num_attributes();
-  const int max_level = options.max_level < 0 ? d : options.max_level;
+}  // namespace
 
-  SharedDominanceChecker index(schema, options.dominance_mode);
-  DiveQueue queue(Pattern::Root(d));
-
-  ThreadPool pool(options.num_threads);
-  const int workers = pool.num_workers();
-  std::vector<std::uint64_t> worker_queries(
-      static_cast<std::size_t>(workers), 0);
-  std::vector<std::uint64_t> worker_generated(
-      static_cast<std::size_t>(workers), 0);
-  std::vector<std::uint64_t> worker_pruned(
-      static_cast<std::size_t>(workers), 0);
-
-  pool.RunOnAll([&](int worker) {
-    CachingCoverage cov(oracle, options.tau);
-    std::uint64_t generated = 0;
-    std::uint64_t pruned = 0;
-    Pattern p;
-    while (queue.Pop(p)) {
-      const DiveQueue::ItemGuard guard(queue);
-      // A node dominated by a discovered MUP is uncovered but not maximal;
-      // its entire subtree is pruned. A node that *is* a discovered MUP can
-      // be popped later if a climb reached it before its turn in the queue.
-      // The index only ever grows (with genuine MUPs), so a stale snapshot
-      // here costs at most a redundant dive, never a wrong answer.
-      if (index.Contains(p) || index.IsDominated(p)) {
-        ++pruned;
-        continue;
-      }
-
-      bool covered;
-      if (index.DominatesSome(p)) {
-        // Strict ancestor of a MUP: covered by monotonicity, no query needed.
-        covered = true;
-      } else {
-        covered = cov.Covered(p);
-      }
-
-      if (covered) {
-        if (p.level() < max_level) {
-          std::vector<Pattern> children = Rule1Children(p, schema);
-          generated += children.size();
-          queue.Push(std::move(children));
-        }
-        continue;
-      }
-
-      // AddIfAbsent absorbs the race where two workers climb to one MUP.
-      index.AddIfAbsent(ClimbToMup(std::move(p), cov));
-    }
-    worker_queries[static_cast<std::size_t>(worker)] = cov.num_queries();
-    worker_generated[static_cast<std::size_t>(worker)] = generated;
-    worker_pruned[static_cast<std::size_t>(worker)] = pruned;
-  });
-
-  std::vector<Pattern> mups = index.Snapshot();
-  std::sort(mups.begin(), mups.end());
-  if (stats != nullptr) {
-    for (int w = 0; w < workers; ++w) {
-      stats->coverage_queries += worker_queries[static_cast<std::size_t>(w)];
-      stats->nodes_generated += worker_generated[static_cast<std::size_t>(w)];
-      stats->nodes_pruned += worker_pruned[static_cast<std::size_t>(w)];
-    }
-    stats->nodes_generated += 1;  // the root
-  }
-  return mups;
-}
-
-std::vector<Pattern> FindMupsDeepDiverSerial(const CoverageOracle& oracle,
-                                             const Schema& schema,
-                                             const MupSearchOptions& options,
-                                             MupSearchStats* stats) {
+std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
+                                       const Schema& schema,
+                                       const MupSearchOptions& options,
+                                       MupSearchStats* stats) {
+  Stopwatch timer;
   const int d = schema.num_attributes();
   const int max_level = options.max_level < 0 ? d : options.max_level;
 
@@ -464,25 +291,7 @@ std::vector<Pattern> FindMupsDeepDiverSerial(const CoverageOracle& oracle,
     stats->nodes_generated = nodes_generated;
     stats->nodes_pruned = nodes_pruned;
     stats->num_mups = mups.size();
-  }
-  return mups;
-}
-
-}  // namespace
-
-std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
-                                       const Schema& schema,
-                                       const MupSearchOptions& options,
-                                       MupSearchStats* stats) {
-  Stopwatch timer;
-  if (stats != nullptr) stats->Reset();
-  std::vector<Pattern> mups =
-      options.num_threads > 1
-          ? FindMupsDeepDiverParallel(oracle, schema, options, stats)
-          : FindMupsDeepDiverSerial(oracle, schema, options, stats);
-  if (stats != nullptr) {
     stats->seconds = timer.ElapsedSeconds();
-    stats->num_mups = mups.size();
   }
   return mups;
 }

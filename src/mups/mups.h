@@ -26,13 +26,14 @@ struct MupSearchOptions {
   /// tens of attributes). -1 means unlimited.
   int max_level = -1;
 
-  /// Worker count for PATTERN-BREAKER, DEEPDIVER, and PATTERN-COMBINER.
-  /// 1 (the default) runs the serial algorithms; N > 1 evaluates
-  /// PATTERN-BREAKER's BFS frontiers and DEEPDIVER's dives on a pool of N
-  /// workers sharing one oracle (each worker queries through its own
-  /// QueryContext), and shards PATTERN-COMBINER's level-d pass over the
-  /// combination space. The returned MUP set is identical to the serial one
-  /// for any N. Other algorithms ignore this.
+  /// Worker count for PATTERN-BREAKER and PATTERN-COMBINER. 1 (the default)
+  /// runs the serial algorithms; N > 1 evaluates PATTERN-BREAKER's BFS
+  /// frontiers on a pool of N workers sharing one oracle (each worker
+  /// queries through its own QueryContext), and shards PATTERN-COMBINER's
+  /// level-d pass over the combination space. The returned MUP set and query
+  /// counts are identical to the serial ones for any N. DEEPDIVER is serial
+  /// (its dives share one discovered-MUP set, and a parallel version
+  /// measured no speedup) and, like the other algorithms, ignores this.
   int num_threads = 1;
 
   /// Upper bound on guarded exponential enumerations (naive pattern-graph
@@ -41,9 +42,11 @@ struct MupSearchOptions {
   std::uint64_t enumeration_limit = std::uint64_t{1} << 26;
 
   /// How DEEPDIVER checks candidates against the discovered MUPs. The
-  /// Appendix-B bit-vector index is the paper's design; the linear scan and
-  /// the no-pruning mode exist for the ablation study (all three produce
-  /// identical output).
+  /// Appendix-B bit-vector index is the paper's design and the only strategy
+  /// anything else in the library uses; the linear scan and the no-pruning
+  /// mode exist for DEEPDIVER's ablation study
+  /// (bench_ablation_design_choices). All three produce identical output.
+  /// Other algorithms ignore this.
   enum class DominanceMode { kBitmapIndex, kLinearScan, kNoPruning };
   DominanceMode dominance_mode = DominanceMode::kBitmapIndex;
 
@@ -115,9 +118,9 @@ inline constexpr std::uint64_t kPlannerPatternGraphBudget = std::uint64_t{1}
 inline constexpr int kPlannerWideMaxLevel = 3;
 
 /// Below this many explored pattern-graph nodes a parallel search is not
-/// worth its pool startup + work-queue synchronisation: every algorithm's
-/// per-node cost is a handful of bitmap intersections, so a graph this small
-/// is over before the workers warm up. The planner answers num_threads = 1
+/// worth its pool startup and per-level join: PATTERN-BREAKER's per-node
+/// cost is a handful of bitmap intersections, so a graph this small is over
+/// before the workers warm up. The planner answers num_threads = 1
 /// here regardless of the caller's cap. "Explored" honours the level cap:
 /// levels 0..max_level only, not all Π (c_i + 1) nodes.
 inline constexpr std::uint64_t kPlannerParallelMinPatternGraph =
@@ -193,7 +196,7 @@ StatusOr<std::vector<Pattern>> FindMupsPatternCombiner(
 /// §III-E, Algorithm 3: DFS dive to an uncovered node, climb to a MUP, prune
 /// everything dominating or dominated by discovered MUPs (via the Appendix-B
 /// inverted indices; see MupSearchOptions::dominance_mode for the ablation
-/// alternatives).
+/// alternatives). Always serial: options.num_threads is ignored.
 std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
                                        const Schema& schema,
                                        const MupSearchOptions& options,

@@ -1,8 +1,6 @@
 #ifndef COVERAGE_MUPS_PACKED_INDEX_H_
 #define COVERAGE_MUPS_PACKED_INDEX_H_
 
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -21,7 +19,7 @@ namespace coverage {
 /// search and engine paths use this; the legacy index stays behind for the
 /// vector<int> shadow path.
 ///
-/// Thread-safety: none — wrap in SharedPackedMupIndex for concurrent use.
+/// Thread-safety: none.
 class PackedMupIndex {
  public:
   /// `codec` must outlive the index.
@@ -72,48 +70,6 @@ class PackedMupIndex {
   std::unordered_map<PackedPattern, std::size_t, PackedPatternHash>
       member_index_;
   std::size_t reserved_bits_ = 0;
-};
-
-/// Reader/writer-locked facade, mirroring SharedMupDominanceIndex.
-class SharedPackedMupIndex {
- public:
-  SharedPackedMupIndex(const Schema& schema, const PatternCodec& codec)
-      : index_(schema, codec) {}
-
-  bool AddIfAbsent(const PackedPattern& mup) {
-    std::unique_lock lock(mu_);
-    if (index_.Contains(mup)) return false;
-    index_.Add(mup);
-    return true;
-  }
-
-  template <typename Fn>
-  auto WithReadLock(Fn&& fn) const {
-    std::shared_lock lock(mu_);
-    return fn(static_cast<const PackedMupIndex&>(index_));
-  }
-
-  bool Contains(const PackedPattern& p) const {
-    return WithReadLock(
-        [&](const PackedMupIndex& i) { return i.Contains(p); });
-  }
-  bool IsDominated(const PackedPattern& p) const {
-    return WithReadLock(
-        [&](const PackedMupIndex& i) { return i.IsDominated(p); });
-  }
-  bool DominatesSome(const PackedPattern& p) const {
-    return WithReadLock(
-        [&](const PackedMupIndex& i) { return i.DominatesSome(p); });
-  }
-
-  std::vector<PackedPattern> Snapshot() const {
-    std::shared_lock lock(mu_);
-    return index_.mups();
-  }
-
- private:
-  mutable std::shared_mutex mu_;
-  PackedMupIndex index_;
 };
 
 }  // namespace coverage

@@ -104,8 +104,7 @@ class DurableEngine {
       DurableEngineOptions opts = {});
 
   /// Reopens the session persisted at `dir` (NotFound when none). The
-  /// stored schema and problem knobs (tau, max_level, window, dominance)
-  /// win — they define the session's Problem-1 instance; only runtime
+  /// stored schema and problem knobs (tau, max_level, window) win — they define the session's Problem-1 instance; only runtime
   /// knobs are taken from `runtime`: num_threads, and durability (so an
   /// operator can e.g. upgrade async -> fsync across a restart).
   static StatusOr<std::unique_ptr<DurableEngine>> Recover(

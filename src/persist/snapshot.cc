@@ -61,7 +61,7 @@ std::optional<std::uint64_t> ParseWalFileName(const std::string& name) {
 void EncodeEngineOptions(const EngineOptions& options, ByteWriter* out) {
   out->PutU64(options.tau);
   out->PutI64(options.max_level);
-  out->PutU8(static_cast<std::uint8_t>(options.dominance_mode));
+  out->PutU8(0);  // reserved: formerly the engine's dominance mode
   out->PutU64(options.window_max_rows);
   out->PutU64(options.window_max_epochs);
   out->PutU8(static_cast<std::uint8_t>(options.durability));
@@ -70,26 +70,27 @@ void EncodeEngineOptions(const EngineOptions& options, ByteWriter* out) {
 Status DecodeEngineOptions(ByteReader* in, EngineOptions* options) {
   *options = EngineOptions{};
   std::int64_t max_level = 0;
-  std::uint8_t dominance = 0, durability = 0;
+  std::uint8_t reserved = 0, durability = 0;
   std::uint64_t window_rows = 0, window_epochs = 0;
   COVERAGE_RETURN_IF_ERROR(in->GetU64(&options->tau));
   COVERAGE_RETURN_IF_ERROR(in->GetI64(&max_level));
-  COVERAGE_RETURN_IF_ERROR(in->GetU8(&dominance));
+  COVERAGE_RETURN_IF_ERROR(in->GetU8(&reserved));
   COVERAGE_RETURN_IF_ERROR(in->GetU64(&window_rows));
   COVERAGE_RETURN_IF_ERROR(in->GetU64(&window_epochs));
   COVERAGE_RETURN_IF_ERROR(in->GetU8(&durability));
-  if (dominance > static_cast<std::uint8_t>(
-                      MupSearchOptions::DominanceMode::kNoPruning)) {
+  // The reserved byte held a dominance mode (0..2) in older snapshots. Any
+  // such value restores (the engine always prunes with the Appendix-B
+  // index, and every mode produced the same MUP set); anything larger is a
+  // corrupt or hostile image.
+  if (reserved > 2) {
     return Status::InvalidArgument("decode: unknown dominance mode " +
-                                   std::to_string(dominance));
+                                   std::to_string(reserved));
   }
   if (durability > static_cast<std::uint8_t>(DurabilityMode::kFsync)) {
     return Status::InvalidArgument("decode: unknown durability mode " +
                                    std::to_string(durability));
   }
   options->max_level = static_cast<int>(max_level);
-  options->dominance_mode =
-      static_cast<MupSearchOptions::DominanceMode>(dominance);
   options->window_max_rows = static_cast<std::size_t>(window_rows);
   options->window_max_epochs = static_cast<std::size_t>(window_epochs);
   options->durability = static_cast<DurabilityMode>(durability);

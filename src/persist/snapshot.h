@@ -40,9 +40,9 @@ std::optional<std::uint64_t> ParseWalFileName(const std::string& name);
 std::string EncodeEngineImage(const EngineImage& image);
 StatusOr<EngineImage> DecodeEngineImage(std::string_view body);
 
-/// Serializes `options`' durable problem knobs (tau, max_level, dominance,
-/// window limits, durability) — runtime knobs are not persisted and decode
-/// to their defaults.
+/// Serializes `options`' durable problem knobs (tau, max_level, window
+/// limits, durability) plus one reserved byte, written as 0 — runtime knobs
+/// are not persisted and decode to their defaults.
 void EncodeEngineOptions(const EngineOptions& options, ByteWriter* out);
 Status DecodeEngineOptions(ByteReader* in, EngineOptions* options);
 

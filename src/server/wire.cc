@@ -201,15 +201,6 @@ Status MaybeInt(const JsonValue& v, const std::string& key, int* out) {
   return Status::OK();
 }
 
-StatusOr<MupSearchOptions::DominanceMode> DominanceModeFromName(
-    const std::string& name) {
-  if (name == "bitmap") return MupSearchOptions::DominanceMode::kBitmapIndex;
-  if (name == "scan") return MupSearchOptions::DominanceMode::kLinearScan;
-  if (name == "none") return MupSearchOptions::DominanceMode::kNoPruning;
-  return Status::InvalidArgument("unknown dominance_mode '" + name +
-                                 "' (expected bitmap | scan | none)");
-}
-
 StatusOr<std::vector<Pattern>> PatternListFromJson(const JsonValue& list,
                                                    const Schema& schema,
                                                    const char* what) {
@@ -251,8 +242,7 @@ StatusOr<MupAlgorithm> AlgorithmFromName(const std::string& name) {
 
 StatusOr<AuditRequest> AuditRequestFromJson(const JsonValue& v) {
   COVERAGE_RETURN_IF_ERROR(RejectUnknownMembers(
-      v, {"tau", "max_level", "algorithm", "dominance_mode",
-          "enumeration_limit"}));
+      v, {"tau", "max_level", "algorithm", "enumeration_limit"}));
   AuditRequest request;
   COVERAGE_RETURN_IF_ERROR(MaybeUint(v, "tau", &request.tau));
   COVERAGE_RETURN_IF_ERROR(MaybeInt(v, "max_level", &request.max_level));
@@ -264,13 +254,6 @@ StatusOr<AuditRequest> AuditRequestFromJson(const JsonValue& v) {
     auto algorithm = AlgorithmFromName(*name);
     if (!algorithm.ok()) return algorithm.status();
     request.algorithm = *algorithm;
-  }
-  if (v.Find("dominance_mode") != nullptr) {
-    auto name = v.GetString("dominance_mode");
-    if (!name.ok()) return name.status();
-    auto mode = DominanceModeFromName(*name);
-    if (!mode.ok()) return mode.status();
-    request.dominance_mode = *mode;
   }
   return request;
 }

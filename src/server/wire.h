@@ -46,9 +46,9 @@ json::JsonValue ToJson(const Schema& schema);
 /// "pattern-combiner" | "apriori" | "naive" — the CLI's --algo vocabulary.
 StatusOr<MupAlgorithm> AlgorithmFromName(const std::string& name);
 
-/// {"tau": 30, "max_level": -1, "algorithm": "auto",
-///  "dominance_mode": "bitmap" | "scan" | "none", "enumeration_limit": N}
-/// — every member optional (struct defaults apply).
+/// {"tau": 30, "max_level": -1, "algorithm": "auto", "enumeration_limit": N}
+/// — every member optional (struct defaults apply); any other member is
+/// rejected.
 StatusOr<AuditRequest> AuditRequestFromJson(const json::JsonValue& v);
 
 /// {"tau", "lambda", "rules": ["A in {x, y}"], "min_value_count",

@@ -289,7 +289,6 @@ StatusOr<AuditResult> CoverageService::Audit(const AuditRequest& request,
   search.max_level = request.max_level;
   search.num_threads = options_.num_threads;
   search.enumeration_limit = request.enumeration_limit;
-  search.dominance_mode = request.dominance_mode;
   search.trace = trace;
 
   AuditResult result;
@@ -431,7 +430,6 @@ EngineOptions EngineOptionsFrom(const CoverageService::SessionOptions& o) {
   eopts.tau = o.tau;
   eopts.max_level = o.max_level;
   eopts.num_threads = o.num_threads;
-  eopts.dominance_mode = o.dominance_mode;
   eopts.window_max_rows = o.window_max_rows;
   eopts.window_max_epochs = o.window_max_epochs;
   eopts.durability = o.durability;
@@ -485,7 +483,6 @@ StatusOr<CoverageService::Session> CoverageService::ReopenDurableSession(
   const EngineOptions& stored = (*durable)->engine().options();
   effective.tau = stored.tau;
   effective.max_level = stored.max_level;
-  effective.dominance_mode = stored.dominance_mode;
   effective.window_max_rows = stored.window_max_rows;
   effective.window_max_epochs = stored.window_max_epochs;
   return Session(std::move(*durable), effective);

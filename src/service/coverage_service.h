@@ -110,10 +110,6 @@ struct AuditRequest {
   /// concrete algorithm forces that choice.
   MupAlgorithm algorithm = MupAlgorithm::kAuto;
 
-  /// Dominance strategy for DEEPDIVER (ablation modes; identical output).
-  MupSearchOptions::DominanceMode dominance_mode =
-      MupSearchOptions::DominanceMode::kBitmapIndex;
-
   /// Guard for the exponential enumerations (naive / combiner / apriori).
   std::uint64_t enumeration_limit = std::uint64_t{1} << 26;
 
@@ -241,8 +237,6 @@ class CoverageService {
     std::uint64_t tau = 30;
     int max_level = -1;
     int num_threads = 1;
-    MupSearchOptions::DominanceMode dominance_mode =
-        MupSearchOptions::DominanceMode::kBitmapIndex;
 
     /// Sliding-window limits (see EngineOptions); 0 = unbounded.
     std::size_t window_max_rows = 0;
@@ -384,7 +378,7 @@ class CoverageService {
 
   /// Reopens the durable session persisted at `dir` (NotFound when none),
   /// recovering snapshot + WAL tail. The stored problem knobs (tau,
-  /// max_level, window, dominance) win over `options`; only runtime knobs
+  /// max_level, window) win over `options`; only runtime knobs
   /// (num_threads, durability, thread budgeting, idle TTL) are taken from
   /// the caller. The returned session's options() reflects the stored
   /// values.

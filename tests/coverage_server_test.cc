@@ -189,6 +189,8 @@ TEST_F(CoverageServerTest, ErrorsMapOntoHttpStatusCodes) {
        "invalid_argument"},
       {"bad algorithm", "/v1/audit", R"({"algorithm": "quantum"})", 400,
        "invalid_argument"},
+      {"removed audit member", "/v1/audit", R"({"dominance_mode": "scan"})",
+       400, "invalid_argument"},
       {"removed enhance member", "/v1/enhance",
        R"({"tau": 30, "lambda": 1, "use_naive_greedy": true})", 400,
        "invalid_argument"},

@@ -131,8 +131,8 @@ TEST(CoverageAtLeast, QueryCounterAdvances) {
   data.AppendRow(std::vector<Value>{0, 0});
   const AggregatedData agg(data);
   BitmapCoverage oracle(agg);
-  // The default context still backs num_queries() for serial callers; the
-  // deprecated context-free overloads were the only other way to reach it.
+  // The default context backs num_queries() for serial callers; passing it
+  // explicitly is the only way to reach it.
   oracle.ResetQueryCounter();
   QueryContext& ctx = oracle.default_context();
   oracle.CoverageAtLeast(Pattern::Root(2), 1, ctx);

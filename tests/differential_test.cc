@@ -1,8 +1,8 @@
 // Differential proof of the packed-pattern refactor: for every algorithm,
-// every dominance mode, and serial + parallel execution, the packed
-// implementation must be bit-identical to the legacy vector<int> one —
-// same MUP sets, same per-algorithm query counts on the deterministic
-// paths, and same audit wire bytes. The legacy implementations survive in
+// every DEEPDIVER dominance mode, and serial + parallel execution, the
+// packed implementation must be bit-identical to the legacy vector<int> one
+// — same MUP sets, same per-algorithm query counts, and same audit wire
+// bytes. The legacy implementations survive in
 // src/mups/legacy_mups.cc exactly so this suite can shadow-run them
 // (MupSearchOptions::use_packed_representation picks the side).
 
@@ -111,13 +111,11 @@ TEST_P(PackedLegacyDifferential, DeepDiverBitIdentical) {
   const auto packed = FindMupsDeepDiver(oracle, options, &packed_stats);
 
   EXPECT_EQ(legacy, packed);
-  if (c.num_threads == 1) {
-    // The serial dive order is deterministic; parallel work-stealing makes
-    // query counts schedule-dependent, so only the serial path pins them.
-    EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
-    EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
-    EXPECT_EQ(legacy_stats.nodes_pruned, packed_stats.nodes_pruned);
-  }
+  // DEEPDIVER is serial whatever num_threads says, so its dive order — and
+  // with it every counter — is deterministic at any worker count.
+  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
+  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
+  EXPECT_EQ(legacy_stats.nodes_pruned, packed_stats.nodes_pruned);
   EXPECT_EQ(legacy_stats.num_mups, packed_stats.num_mups);
 }
 
@@ -192,7 +190,6 @@ TEST_P(PackedLegacyDifferential, AuditWireBytesBitIdentical) {
 
   AuditRequest request;
   request.tau = c.tau;
-  request.dominance_mode = c.mode;
 
   request.materialize_patterns = true;
   auto materialized = service->Audit(request);
@@ -205,18 +202,10 @@ TEST_P(PackedLegacyDifferential, AuditWireBytesBitIdentical) {
   ASSERT_TRUE(packed_only.ok());
   EXPECT_TRUE(packed_only->mups.empty());
 
-  // Wall-clock is legitimately nondeterministic; with multiple worker
-  // threads, the parallel DEEPDIVER's query/node counters are
-  // schedule-dependent too (each worker stops counting at a different
-  // point), so two independent Audit runs may differ in them. The MUP set
-  // itself — the bytes this test is about — is deterministic either way.
+  // Wall-clock is legitimately nondeterministic; everything else — the
+  // MUP set and the search counters — is deterministic at any worker count.
   materialized->stats.seconds = 0.0;
   packed_only->stats.seconds = 0.0;
-  if (c.num_threads > 1) {
-    packed_only->stats.coverage_queries = materialized->stats.coverage_queries;
-    packed_only->stats.nodes_generated = materialized->stats.nodes_generated;
-    packed_only->stats.nodes_pruned = materialized->stats.nodes_pruned;
-  }
 
   // Wire bytes from the packed encoder, both responses.
   const std::string a =
@@ -242,7 +231,6 @@ TEST_P(PackedLegacyDifferential, EngineMaintenanceBitIdentical) {
                                       c.skew);
   EngineOptions lopts;
   lopts.tau = c.tau;
-  lopts.dominance_mode = c.mode;
   lopts.num_threads = c.num_threads;
   lopts.use_packed_representation = false;
   EngineOptions popts = lopts;
@@ -282,8 +270,8 @@ TEST_P(PackedLegacyDifferential, EngineMaintenanceBitIdentical) {
   }
 }
 
-// >= 12 random schema / dominance / thread configurations (acceptance
-// criterion); word-boundary shapes are covered by packed_pattern_test.
+// >= 12 random schema / dominance / thread configurations (the dominance
+// mode reaches DEEPDIVER only); word-boundary shapes are covered by packed_pattern_test.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PackedLegacyDifferential,
     ::testing::Values(

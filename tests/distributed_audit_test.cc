@@ -2,9 +2,8 @@
 // (cluster/distributed_audit.h): over LocalShardBackends — the same
 // CoverageEngine the coordinator's HTTP path wraps — the distributed MUP
 // set must equal a single-node audit of the concatenated rows EXACTLY,
-// across shard counts {1, 2, 4} × all three dominance modes, on real and
-// adversarial data. Plus: empty shards, level caps, option validation,
-// and shard-failure attribution.
+// across shard counts {1, 2, 4}, on real and adversarial data. Plus: empty
+// shards, level caps, option validation, and shard-failure attribution.
 
 #include "cluster/distributed_audit.h"
 
@@ -24,8 +23,6 @@
 namespace coverage {
 namespace cluster {
 namespace {
-
-using DominanceMode = MupSearchOptions::DominanceMode;
 
 /// Round-robin row slice `index` of `count` — the same striding
 /// tools/coverage_server.cc applies in --role shard mode.
@@ -81,27 +78,19 @@ void ExpectBitIdentical(const Dataset& full, std::uint64_t tau,
       SingleNodeMups(full, tau, max_level);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
-    for (const DominanceMode mode :
-         {DominanceMode::kBitmapIndex, DominanceMode::kLinearScan,
-          DominanceMode::kNoPruning}) {
-      Backends backends = MakeBackends(full, shards);
-      DistributedAuditOptions options;
-      options.tau = tau;
-      options.max_level = max_level;
-      options.dominance_mode = mode;
-      auto result =
-          RunDistributedAudit(full.schema(), backends.ptrs, options);
-      ASSERT_TRUE(result.ok())
-          << shards << " shards: " << result.status().ToString();
-      EXPECT_EQ(SortedMups(result->mups), expected)
-          << shards << " shards, mode " << static_cast<int>(mode);
-      EXPECT_EQ(result->num_rows, full.num_rows());
-      EXPECT_EQ(result->tau, tau);
-      // The result arrives pre-sorted in Pattern order — the same order
-      // every single-node algorithm emits (determinism contract).
-      EXPECT_TRUE(
-          std::is_sorted(result->mups.begin(), result->mups.end()));
-    }
+    Backends backends = MakeBackends(full, shards);
+    DistributedAuditOptions options;
+    options.tau = tau;
+    options.max_level = max_level;
+    auto result = RunDistributedAudit(full.schema(), backends.ptrs, options);
+    ASSERT_TRUE(result.ok())
+        << shards << " shards: " << result.status().ToString();
+    EXPECT_EQ(SortedMups(result->mups), expected) << shards << " shards";
+    EXPECT_EQ(result->num_rows, full.num_rows());
+    EXPECT_EQ(result->tau, tau);
+    // The result arrives pre-sorted in Pattern order — the same order
+    // every single-node algorithm emits (determinism contract).
+    EXPECT_TRUE(std::is_sorted(result->mups.begin(), result->mups.end()));
   }
 }
 
@@ -165,20 +154,13 @@ TEST(DistributedAuditTest, StatsAccountForBothTiers) {
   DistributedAuditOptions options;
   options.tau = 12;
 
-  auto pruned = RunDistributedAudit(full.schema(), backends.ptrs, options);
-  ASSERT_TRUE(pruned.ok());
-  // Tier 1 must actually fire with the index on...
-  EXPECT_GT(pruned->stats.nodes_pruned_local, 0u);
-
-  // ...and with pruning disabled, every evaluated node pays the RPC tier.
-  options.dominance_mode = DominanceMode::kNoPruning;
-  auto unpruned = RunDistributedAudit(full.schema(), backends.ptrs, options);
-  ASSERT_TRUE(unpruned.ok());
-  EXPECT_EQ(unpruned->stats.nodes_pruned_local, 0u);
-  EXPECT_GT(unpruned->stats.patterns_counted,
-            pruned->stats.patterns_counted);
-  // Same answer either way.
-  EXPECT_EQ(SortedMups(unpruned->mups), SortedMups(pruned->mups));
+  auto result = RunDistributedAudit(full.schema(), backends.ptrs, options);
+  ASSERT_TRUE(result.ok());
+  // Tier 1 must actually fire (the index settles some nodes with no RPC)...
+  EXPECT_GT(result->stats.nodes_pruned_local, 0u);
+  // ...and tier 2 must too: striped shards disagree on some nodes.
+  EXPECT_GT(result->stats.patterns_counted, 0u);
+  EXPECT_EQ(SortedMups(result->mups), SingleNodeMups(full, 12, -1));
 }
 
 TEST(DistributedAuditTest, ToAuditResultIsWireCompatible) {

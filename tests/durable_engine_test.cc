@@ -15,8 +15,6 @@ namespace coverage {
 namespace persist {
 namespace {
 
-using DominanceMode = MupSearchOptions::DominanceMode;
-
 Dataset RandomBatch(const Schema& schema, std::size_t rows, Rng* rng) {
   Dataset batch(schema);
   std::vector<Value> row(static_cast<std::size_t>(schema.num_attributes()));
@@ -154,7 +152,7 @@ TEST_F(DurableEngineTest, StoredProblemKnobsWinOnReopen) {
   EngineOptions stored;
   stored.tau = 9;
   stored.max_level = 2;
-  stored.dominance_mode = DominanceMode::kLinearScan;
+  stored.window_max_epochs = 3;
   {
     auto durable = DurableEngine::Create(dir_, schema, stored);
     ASSERT_TRUE(durable.ok());
@@ -167,8 +165,7 @@ TEST_F(DurableEngineTest, StoredProblemKnobsWinOnReopen) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ((*recovered)->engine().options().tau, 9u);
   EXPECT_EQ((*recovered)->engine().options().max_level, 2);
-  EXPECT_EQ((*recovered)->engine().options().dominance_mode,
-            DominanceMode::kLinearScan);
+  EXPECT_EQ((*recovered)->engine().options().window_max_epochs, 3u);
   // Runtime knobs come from the caller.
   EXPECT_EQ((*recovered)->engine().options().num_threads, 2);
   EXPECT_EQ((*recovered)->durability(), DurabilityMode::kNone);

@@ -1,8 +1,8 @@
 // Degenerate-shape edge cases for the incremental engine, each driven
-// through the full durable path (Create → mutate → close → Recover) in all
-// three dominance modes: a single-attribute schema (every pattern is level
-// 0 or 1), a cardinality-1 attribute (its only value is its whole domain),
-// and retraction of every row back to an empty window.
+// through the full durable path (Create → mutate → close → Recover): a
+// single-attribute schema (every pattern is level 0 or 1), a cardinality-1
+// attribute (its only value is its whole domain), and retraction of every
+// row back to an empty window.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -17,8 +17,6 @@
 namespace coverage {
 namespace persist {
 namespace {
-
-using DominanceMode = MupSearchOptions::DominanceMode;
 
 Dataset RandomBatch(const Schema& schema, std::size_t rows, Rng* rng,
                     Dataset* log = nullptr) {
@@ -35,7 +33,7 @@ Dataset RandomBatch(const Schema& schema, std::size_t rows, Rng* rng,
   return batch;
 }
 
-class EngineEdgeTest : public ::testing::TestWithParam<DominanceMode> {
+class EngineEdgeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = (std::filesystem::temp_directory_path() /
@@ -49,7 +47,6 @@ class EngineEdgeTest : public ::testing::TestWithParam<DominanceMode> {
   EngineOptions Options(std::uint64_t tau) const {
     EngineOptions opts;
     opts.tau = tau;
-    opts.dominance_mode = GetParam();
     opts.durability = DurabilityMode::kFsync;
     return opts;
   }
@@ -57,7 +54,7 @@ class EngineEdgeTest : public ::testing::TestWithParam<DominanceMode> {
   std::string dir_;
 };
 
-TEST_P(EngineEdgeTest, SingleAttributeSchema) {
+TEST_F(EngineEdgeTest, SingleAttributeSchema) {
   // d == 1: the pattern graph is just the root plus one level-1 node per
   // value, so every maintenance structure runs at its smallest size.
   const Schema schema = Schema::Uniform({4});
@@ -87,7 +84,7 @@ TEST_P(EngineEdgeTest, SingleAttributeSchema) {
   }
 }
 
-TEST_P(EngineEdgeTest, CardinalityOneAttribute) {
+TEST_F(EngineEdgeTest, CardinalityOneAttribute) {
   // The middle attribute has exactly one value: its level-1 node covers
   // the same rows as the root, and its packed field is a single bit.
   const Schema schema = Schema::Uniform({3, 1, 2});
@@ -119,7 +116,7 @@ TEST_P(EngineEdgeTest, CardinalityOneAttribute) {
   }
 }
 
-TEST_P(EngineEdgeTest, RetractionToEmptyWindow) {
+TEST_F(EngineEdgeTest, RetractionToEmptyWindow) {
   const Schema schema = Schema::Uniform({2, 3, 2});
   const EngineOptions opts = Options(/*tau=*/3);
   CoverageEngine shadow(schema, opts);
@@ -161,19 +158,6 @@ TEST_P(EngineEdgeTest, RetractionToEmptyWindow) {
   EXPECT_EQ((*recovered)->engine().Mups(), fresh.Mups());
   EXPECT_EQ((*recovered)->engine().num_rows(), fresh.num_rows());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllDominanceModes, EngineEdgeTest,
-    ::testing::Values(DominanceMode::kBitmapIndex, DominanceMode::kLinearScan,
-                      DominanceMode::kNoPruning),
-    [](const ::testing::TestParamInfo<DominanceMode>& info) {
-      switch (info.param) {
-        case DominanceMode::kBitmapIndex: return std::string("BitmapIndex");
-        case DominanceMode::kLinearScan: return std::string("LinearScan");
-        case DominanceMode::kNoPruning: return std::string("NoPruning");
-      }
-      return std::string("Unknown");
-    });
 
 }  // namespace
 }  // namespace persist

@@ -27,7 +27,6 @@ std::vector<Pattern> FromScratchMups(const Dataset& data,
   MupSearchOptions opts;
   opts.tau = eopts.tau;
   opts.max_level = eopts.max_level;
-  opts.dominance_mode = eopts.dominance_mode;
   return FindMupsDeepDiver(oracle, opts);
 }
 
@@ -162,45 +161,38 @@ TEST(CoverageEngine, SnapshotsAreImmutableAcrossEpochs) {
 }
 
 /// The core invariant: after every randomized append batch, the maintained
-/// MUP set is bit-identical to a from-scratch recompute — across all
-/// dominance modes, serial and 8-thread rechecks, and a level cap.
+/// MUP set is bit-identical to a from-scratch recompute — serial and
+/// 8-thread rechecks, with and without a level cap.
 TEST(CoverageEngineProperty, IncrementalEqualsFromScratchAfterRandomBatches) {
-  using DominanceMode = MupSearchOptions::DominanceMode;
   const Schema schema = Schema::Uniform({3, 2, 4, 2});
-  for (const DominanceMode mode :
-       {DominanceMode::kBitmapIndex, DominanceMode::kLinearScan,
-        DominanceMode::kNoPruning}) {
-    for (const int threads : {1, 8}) {
-      for (const int max_level : {-1, 2}) {
-        EngineOptions opts;
-        opts.tau = 5;
-        opts.max_level = max_level;
-        opts.num_threads = threads;
-        opts.dominance_mode = mode;
-        CoverageEngine engine(schema, opts);
-        Dataset accumulated(schema);
-        Rng rng(1000 + 100 * static_cast<int>(mode) + 10 * threads +
-                (max_level + 1));
-        std::vector<Value> row(4);
-        for (int batch = 0; batch < 12; ++batch) {
-          const std::size_t k = rng.NextUint64(41);  // 0..40, empties too
-          Dataset chunk(schema);
-          for (std::size_t r = 0; r < k; ++r) {
-            for (int i = 0; i < 4; ++i) {
-              // Skew toward low values so counts actually cross τ.
-              const auto card =
-                  static_cast<std::uint64_t>(schema.cardinality(i));
-              row[static_cast<std::size_t>(i)] = static_cast<Value>(
-                  std::min(rng.NextUint64(card), rng.NextUint64(card)));
-            }
-            chunk.AppendRow(row);
-            accumulated.AppendRow(row);
+  for (const int threads : {1, 8}) {
+    for (const int max_level : {-1, 2}) {
+      EngineOptions opts;
+      opts.tau = 5;
+      opts.max_level = max_level;
+      opts.num_threads = threads;
+      CoverageEngine engine(schema, opts);
+      Dataset accumulated(schema);
+      Rng rng(1000 + 10 * threads + (max_level + 1));
+      std::vector<Value> row(4);
+      for (int batch = 0; batch < 12; ++batch) {
+        const std::size_t k = rng.NextUint64(41);  // 0..40, empties too
+        Dataset chunk(schema);
+        for (std::size_t r = 0; r < k; ++r) {
+          for (int i = 0; i < 4; ++i) {
+            // Skew toward low values so counts actually cross τ.
+            const auto card =
+                static_cast<std::uint64_t>(schema.cardinality(i));
+            row[static_cast<std::size_t>(i)] = static_cast<Value>(
+                std::min(rng.NextUint64(card), rng.NextUint64(card)));
           }
-          ASSERT_TRUE(engine.AppendRows(chunk).ok());
-          ASSERT_EQ(engine.Mups(), FromScratchMups(accumulated, opts))
-              << "mode=" << static_cast<int>(mode) << " threads=" << threads
-              << " max_level=" << max_level << " batch=" << batch;
+          chunk.AppendRow(row);
+          accumulated.AppendRow(row);
         }
+        ASSERT_TRUE(engine.AppendRows(chunk).ok());
+        ASSERT_EQ(engine.Mups(), FromScratchMups(accumulated, opts))
+            << "threads=" << threads << " max_level=" << max_level
+            << " batch=" << batch;
       }
     }
   }
@@ -379,64 +371,57 @@ TEST(CoverageEngineRetract, RetractionUncoversRoot) {
 
 /// The core retraction invariant: after every randomized append/retract
 /// step, the maintained MUP set is bit-identical to a from-scratch DEEPDIVER
-/// on the surviving rows — across all dominance modes, serial and 8-thread
-/// rechecks, and a level cap.
+/// on the surviving rows — serial and 8-thread rechecks, with and without a
+/// level cap.
 TEST(CoverageEngineRetractProperty, RandomAppendRetractEqualsFromScratch) {
-  using DominanceMode = MupSearchOptions::DominanceMode;
   const Schema schema = Schema::Uniform({3, 2, 4, 2});
-  for (const DominanceMode mode :
-       {DominanceMode::kBitmapIndex, DominanceMode::kLinearScan,
-        DominanceMode::kNoPruning}) {
-    for (const int threads : {1, 8}) {
-      for (const int max_level : {-1, 2}) {
-        EngineOptions opts;
-        opts.tau = 5;
-        opts.max_level = max_level;
-        opts.num_threads = threads;
-        opts.dominance_mode = mode;
-        CoverageEngine engine(schema, opts);
-        std::vector<std::vector<Value>> live;  // surviving row multiset
-        Rng rng(5000 + 100 * static_cast<int>(mode) + 10 * threads +
-                (max_level + 1));
-        for (int step = 0; step < 16; ++step) {
-          const bool retract = !live.empty() && rng.NextUint64(3) == 0;
-          if (retract) {
-            // Retract a random sub-multiset (up to half the live rows).
-            const std::size_t k = 1 + rng.NextUint64(live.size() / 2 + 1);
-            Dataset batch(schema);
-            for (std::size_t i = 0; i < k && !live.empty(); ++i) {
-              const std::size_t pick = rng.NextUint64(live.size());
-              batch.AppendRow(live[pick]);
-              live[pick] = live.back();
-              live.pop_back();
-            }
-            EngineUpdateStats stats;
-            ASSERT_TRUE(engine.RetractRows(batch, &stats).ok());
-            ASSERT_EQ(stats.rows_retracted, batch.num_rows());
-          } else {
-            const std::size_t k = rng.NextUint64(31);  // 0..30, empties too
-            Dataset batch(schema);
-            std::vector<Value> row(4);
-            for (std::size_t r = 0; r < k; ++r) {
-              for (int i = 0; i < 4; ++i) {
-                // Skew toward low values so counts actually cross τ.
-                const auto card =
-                    static_cast<std::uint64_t>(schema.cardinality(i));
-                row[static_cast<std::size_t>(i)] = static_cast<Value>(
-                    std::min(rng.NextUint64(card), rng.NextUint64(card)));
-              }
-              batch.AppendRow(row);
-              live.push_back(row);
-            }
-            ASSERT_TRUE(engine.AppendRows(batch).ok());
+  for (const int threads : {1, 8}) {
+    for (const int max_level : {-1, 2}) {
+      EngineOptions opts;
+      opts.tau = 5;
+      opts.max_level = max_level;
+      opts.num_threads = threads;
+      CoverageEngine engine(schema, opts);
+      std::vector<std::vector<Value>> live;  // surviving row multiset
+      Rng rng(5000 + 10 * threads + (max_level + 1));
+      for (int step = 0; step < 16; ++step) {
+        const bool retract = !live.empty() && rng.NextUint64(3) == 0;
+        if (retract) {
+          // Retract a random sub-multiset (up to half the live rows).
+          const std::size_t k = 1 + rng.NextUint64(live.size() / 2 + 1);
+          Dataset batch(schema);
+          for (std::size_t i = 0; i < k && !live.empty(); ++i) {
+            const std::size_t pick = rng.NextUint64(live.size());
+            batch.AppendRow(live[pick]);
+            live[pick] = live.back();
+            live.pop_back();
           }
-          ASSERT_EQ(engine.num_rows(), live.size());
-          ASSERT_EQ(engine.Mups(),
-                    FromScratchMups(FromRows(schema, live), opts))
-              << "mode=" << static_cast<int>(mode) << " threads=" << threads
-              << " max_level=" << max_level << " step=" << step
-              << (retract ? " (retract)" : " (append)");
+          EngineUpdateStats stats;
+          ASSERT_TRUE(engine.RetractRows(batch, &stats).ok());
+          ASSERT_EQ(stats.rows_retracted, batch.num_rows());
+        } else {
+          const std::size_t k = rng.NextUint64(31);  // 0..30, empties too
+          Dataset batch(schema);
+          std::vector<Value> row(4);
+          for (std::size_t r = 0; r < k; ++r) {
+            for (int i = 0; i < 4; ++i) {
+              // Skew toward low values so counts actually cross τ.
+              const auto card =
+                  static_cast<std::uint64_t>(schema.cardinality(i));
+              row[static_cast<std::size_t>(i)] = static_cast<Value>(
+                  std::min(rng.NextUint64(card), rng.NextUint64(card)));
+            }
+            batch.AppendRow(row);
+            live.push_back(row);
+          }
+          ASSERT_TRUE(engine.AppendRows(batch).ok());
         }
+        ASSERT_EQ(engine.num_rows(), live.size());
+        ASSERT_EQ(engine.Mups(),
+                  FromScratchMups(FromRows(schema, live), opts))
+            << "threads=" << threads << " max_level=" << max_level
+            << " step=" << step
+            << (retract ? " (retract)" : " (append)");
       }
     }
   }

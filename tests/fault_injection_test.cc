@@ -17,8 +17,6 @@ namespace coverage {
 namespace persist {
 namespace {
 
-using DominanceMode = MupSearchOptions::DominanceMode;
-
 // ------------------------------------------------------------ FaultFs unit
 
 TEST(FaultFs, CrashAfterBytesTearsTheCrossingWrite) {
@@ -168,18 +166,15 @@ void ExpectAuditParity(const CoverageEngine& recovered,
 /// shadow that executed the acknowledged prefix of the workload. Under
 /// durability=fsync "acknowledged" is precise: every Append/Retract that
 /// returned OK must survive; the one in flight at the crash may or may not.
-void RunCrashRecoveryProperty(DominanceMode mode, bool retracts,
-                              std::size_t window_epochs) {
+void RunCrashRecoveryProperty(bool retracts, std::size_t window_epochs) {
   const Schema schema = Schema::Uniform({2, 3, 2, 2});
   EngineOptions eopts;
   eopts.tau = 3;
-  eopts.dominance_mode = mode;
   eopts.durability = DurabilityMode::kFsync;
   eopts.window_max_epochs = window_epochs;
 
-  const std::uint64_t workload_seed = 1000 + static_cast<int>(mode) * 10 +
-                                      (retracts ? 1 : 0) +
-                                      (window_epochs > 0 ? 2 : 0);
+  const std::uint64_t workload_seed =
+      1000 + (retracts ? 1 : 0) + (window_epochs > 0 ? 2 : 0);
   const std::vector<WorkloadStep> steps =
       MakeWorkload(schema, retracts, workload_seed);
 
@@ -212,8 +207,7 @@ void RunCrashRecoveryProperty(DominanceMode mode, bool retracts,
   for (int trial = 0; trial < 6; ++trial) {
     const std::uint64_t crash_at = crash_rng.NextUint64(total_bytes + 1);
     SCOPED_TRACE("crash after " + std::to_string(crash_at) + " of " +
-                 std::to_string(total_bytes) + " bytes, mode " +
-                 std::to_string(static_cast<int>(mode)));
+                 std::to_string(total_bytes) + " bytes");
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("crashprop_" + std::to_string(::getpid()) + "_" +
@@ -269,20 +263,20 @@ void RunCrashRecoveryProperty(DominanceMode mode, bool retracts,
   }
 }
 
-TEST(CrashRecoveryProperty, AppendOnlyBitmapIndex) {
-  RunCrashRecoveryProperty(DominanceMode::kBitmapIndex, false, 0);
+TEST(CrashRecoveryProperty, AppendOnly) {
+  RunCrashRecoveryProperty(/*retracts=*/false, /*window_epochs=*/0);
 }
 
-TEST(CrashRecoveryProperty, AppendRetractLinearScan) {
-  RunCrashRecoveryProperty(DominanceMode::kLinearScan, true, 0);
+TEST(CrashRecoveryProperty, AppendRetract) {
+  RunCrashRecoveryProperty(/*retracts=*/true, /*window_epochs=*/0);
 }
 
-TEST(CrashRecoveryProperty, WindowedNoPruning) {
-  RunCrashRecoveryProperty(DominanceMode::kNoPruning, false, 3);
+TEST(CrashRecoveryProperty, Windowed) {
+  RunCrashRecoveryProperty(/*retracts=*/false, /*window_epochs=*/3);
 }
 
-TEST(CrashRecoveryProperty, WindowedWithRetractionsBitmapIndex) {
-  RunCrashRecoveryProperty(DominanceMode::kBitmapIndex, true, 4);
+TEST(CrashRecoveryProperty, WindowedWithRetractions) {
+  RunCrashRecoveryProperty(/*retracts=*/true, /*window_epochs=*/4);
 }
 
 }  // namespace

@@ -17,8 +17,6 @@ namespace coverage {
 namespace persist {
 namespace {
 
-using DominanceMode = MupSearchOptions::DominanceMode;
-
 Schema NamedSchema() {
   std::vector<Attribute> attrs;
   attrs.push_back({"gender", {"male", "female", "nonbinary"}});
@@ -32,7 +30,6 @@ EngineImage MakeImage() {
   image.schema = NamedSchema();
   image.options.tau = 7;
   image.options.max_level = 2;
-  image.options.dominance_mode = DominanceMode::kLinearScan;
   image.options.window_max_rows = 100;
   image.options.window_max_epochs = 3;
   image.options.durability = DurabilityMode::kAsync;
@@ -130,7 +127,6 @@ TEST(PersistCodec, EngineOptionsPersistProblemKnobsOnly) {
   options.tau = 13;
   options.max_level = -1;
   options.num_threads = 11;  // runtime knob: must NOT persist
-  options.dominance_mode = DominanceMode::kNoPruning;
   options.window_max_rows = 77;
   options.durability = DurabilityMode::kFsync;
   ByteWriter out;
@@ -140,10 +136,43 @@ TEST(PersistCodec, EngineOptionsPersistProblemKnobsOnly) {
   ASSERT_TRUE(DecodeEngineOptions(&in, &back).ok());
   EXPECT_EQ(back.tau, 13u);
   EXPECT_EQ(back.max_level, -1);
-  EXPECT_EQ(back.dominance_mode, DominanceMode::kNoPruning);
   EXPECT_EQ(back.window_max_rows, 77u);
   EXPECT_EQ(back.durability, DurabilityMode::kFsync);
   EXPECT_NE(back.num_threads, 11);  // decoded to the default, not persisted
+}
+
+TEST(PersistCodec, EngineOptionsReservedByteAcceptsOldDominanceModes) {
+  // Byte 16 (after u64 tau and i64 max_level) once held the engine's
+  // dominance mode: 0 bitmap index, 1 linear scan, 2 no pruning. It is now
+  // reserved and written as 0; older images carrying 1 or 2 must still
+  // decode (the value is ignored), while anything larger stays corrupt.
+  EngineOptions options;
+  options.tau = 5;
+  options.max_level = 3;
+  options.window_max_epochs = 4;
+  ByteWriter out;
+  EncodeEngineOptions(options, &out);
+  std::string bytes = out.data();
+  constexpr std::size_t kReserved = 16;
+  ASSERT_GT(bytes.size(), kReserved);
+  EXPECT_EQ(bytes[kReserved], '\0');
+
+  for (const std::uint8_t old_mode : {1, 2}) {
+    bytes[kReserved] = static_cast<char>(old_mode);
+    ByteReader in(bytes);
+    EngineOptions back;
+    ASSERT_TRUE(DecodeEngineOptions(&in, &back).ok())
+        << "mode byte " << int{old_mode};
+    EXPECT_EQ(back.tau, 5u);
+    EXPECT_EQ(back.max_level, 3);
+    EXPECT_EQ(back.window_max_epochs, 4u);
+  }
+
+  bytes[kReserved] = 3;
+  ByteReader in(bytes);
+  EngineOptions back;
+  const Status status = DecodeEngineOptions(&in, &back);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PersistSnapshotNames, FileNamesSortAndParse) {
@@ -170,7 +199,7 @@ TEST_F(SnapshotTest, ImageRoundtripsThroughFile) {
   EXPECT_EQ(back->schema, image.schema);
   EXPECT_EQ(back->epoch, 42u);
   EXPECT_EQ(back->options.tau, 7u);
-  EXPECT_EQ(back->options.dominance_mode, DominanceMode::kLinearScan);
+  EXPECT_EQ(back->options.window_max_rows, 100u);
   EXPECT_EQ(back->agg_cells, image.agg_cells);
   EXPECT_EQ(back->agg_counts, image.agg_counts);
   EXPECT_EQ(back->mups, image.mups);

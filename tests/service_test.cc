@@ -146,14 +146,7 @@ TEST(Service, EntryPointsRejectInvalidRequests) {
 
 // ------------------------------------------------------------ audit parity --
 
-struct ParityCase {
-  std::string name;
-  MupSearchOptions::DominanceMode mode;
-};
-
-class AuditParityTest : public ::testing::TestWithParam<ParityCase> {};
-
-TEST_P(AuditParityTest, MatchesHandWiredPipelineOnCompas) {
+TEST(AuditParityTest, MatchesHandWiredPipelineOnCompas) {
   const Dataset data = datagen::MakeCompas(2000, 3).data;
   const std::uint64_t tau = 10;
 
@@ -162,14 +155,12 @@ TEST_P(AuditParityTest, MatchesHandWiredPipelineOnCompas) {
   const BitmapCoverage oracle(agg);
   MupSearchOptions search;
   search.tau = tau;
-  search.dominance_mode = GetParam().mode;
   const auto expected = FindMupsDeepDiver(oracle, search);
   ASSERT_FALSE(expected.empty());
 
   const auto service = MustBuild(data);
   AuditRequest request;
   request.tau = tau;
-  request.dominance_mode = GetParam().mode;
   const auto result = service.Audit(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(Render(result->mups), Render(expected));
@@ -181,7 +172,7 @@ TEST_P(AuditParityTest, MatchesHandWiredPipelineOnCompas) {
   EXPECT_TRUE(ValidateMupSet(result->mups, oracle, tau).ok());
 }
 
-TEST_P(AuditParityTest, MatchesHandWiredPipelineOnAirbnb) {
+TEST(AuditParityTest, MatchesHandWiredPipelineOnAirbnb) {
   const Dataset data = datagen::MakeAirbnb(20000, 10);
   const std::uint64_t tau = 40;
 
@@ -189,25 +180,15 @@ TEST_P(AuditParityTest, MatchesHandWiredPipelineOnAirbnb) {
   const BitmapCoverage oracle(agg);
   MupSearchOptions search;
   search.tau = tau;
-  search.dominance_mode = GetParam().mode;
   const auto expected = FindMupsDeepDiver(oracle, search);
 
   const auto service = MustBuild(data);
   AuditRequest request;
   request.tau = tau;
-  request.dominance_mode = GetParam().mode;
   const auto result = service.Audit(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(Render(result->mups), Render(expected));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    DominanceModes, AuditParityTest,
-    ::testing::Values(
-        ParityCase{"bitmap", MupSearchOptions::DominanceMode::kBitmapIndex},
-        ParityCase{"linear", MupSearchOptions::DominanceMode::kLinearScan},
-        ParityCase{"nopruning", MupSearchOptions::DominanceMode::kNoPruning}),
-    [](const auto& info) { return info.param.name; });
 
 TEST(Service, ExplicitAlgorithmIsHonoured) {
   const auto service = MustBuild(datagen::MakeCompas(2000, 3).data);
