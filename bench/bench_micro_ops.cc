@@ -146,7 +146,8 @@ BENCHMARK(BM_ScanCoverageQuery);
 
 void BM_MupDominanceCheck(benchmark::State& state) {
   const Schema schema = Schema::Binary(15);
-  MupDominanceIndex index(schema);
+  const PatternCodec codec = *PatternCodec::Build(schema);
+  PackedMupIndex index(schema, codec);
   Rng rng(13);
   const auto num_mups = static_cast<std::size_t>(state.range(0));
   for (std::size_t m = 0; m < num_mups; ++m) {
@@ -155,10 +156,11 @@ void BM_MupDominanceCheck(benchmark::State& state) {
     for (int k = 0; k < 5; ++k) {
       cells[rng.NextUint64(15)] = static_cast<Value>(rng.NextUint64(2));
     }
-    const Pattern p(std::move(cells));
+    const PackedPattern p = codec.Encode(Pattern(std::move(cells)));
     if (!index.Contains(p)) index.Add(p);
   }
-  const Pattern probe = *Pattern::Parse("1X0X1XXXXXXXXXX", schema);
+  const PackedPattern probe =
+      codec.Encode(*Pattern::Parse("1X0X1XXXXXXXXXX", schema));
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.IsDominated(probe));
     benchmark::DoNotOptimize(index.DominatesSome(probe));

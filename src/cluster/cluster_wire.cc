@@ -3,7 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "pattern/packed_pattern.h"
 #include "persist/codec.h"
 #include "server/json.h"
 #include "server/wire_binary.h"
@@ -76,24 +75,10 @@ StatusOr<ShardCandidatesResponse> DecodeShardCandidatesBinary(
   COVERAGE_RETURN_IF_ERROR(audit.status());
   response.audit = std::move(*audit);
 
-  // The merge algorithm walks legacy patterns; materialize once here and
+  // The merge algorithm walks materialized patterns; decode once here and
   // drop the packed set so every caller sees one representation.
-  if (response.audit.packed.has_value()) {
-    const PackedMupSet& packed = *response.audit.packed;
-    const int d = packed.codec.num_attributes();
-    response.audit.mups.clear();
-    response.audit.mups.reserve(packed.mups.size());
-    for (const PackedPattern& p : packed.mups) {
-      std::vector<Value> cells(static_cast<std::size_t>(d), kWildcard);
-      for (int attr = 0; attr < d; ++attr) {
-        if (packed.codec.is_deterministic(p, attr)) {
-          cells[static_cast<std::size_t>(attr)] = packed.codec.cell(p, attr);
-        }
-      }
-      response.audit.mups.emplace_back(std::move(cells));
-    }
-    response.audit.packed.reset();
-  }
+  response.audit.mups = response.audit.packed->Materialize();
+  response.audit.packed.reset();
   return response;
 }
 

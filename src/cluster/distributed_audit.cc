@@ -7,7 +7,8 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "mups/mup_index.h"
+#include "mups/packed_index.h"
+#include "pattern/packed_pattern.h"
 
 namespace coverage {
 namespace cluster {
@@ -47,26 +48,35 @@ Status FirstError(const std::vector<ShardBackend*>& shards,
 }
 
 /// Tier 1: "is `p` under shard i's local-MUP antichain?" — i.e. still
-/// possibly uncovered there — answered by one Appendix-B index per shard.
+/// possibly uncovered there — answered by one Appendix-B index per shard
+/// over the codec-encoded candidates. `codec` must outlive the check.
 class DownClosureCheck {
  public:
-  DownClosureCheck(const Schema& schema,
-                   const std::vector<ShardCandidatesResponse>& candidates) {
+  DownClosureCheck(const Schema& schema, const PatternCodec& codec,
+                   const std::vector<ShardCandidatesResponse>& candidates)
+      : codec_(codec) {
     indices_.reserve(candidates.size());
+    std::vector<PackedPattern> packed;
     for (const ShardCandidatesResponse& c : candidates) {
-      indices_.emplace_back(schema).AddBatch(c.audit.mups);
+      packed.clear();
+      for (const Pattern& mup : c.audit.mups) {
+        packed.push_back(codec.Encode(mup));
+      }
+      indices_.emplace_back(schema, codec).AddBatch(packed);
     }
   }
 
   bool MaybeUncoveredEverywhere(const Pattern& p) const {
-    for (const MupDominanceIndex& index : indices_) {
-      if (!index.Contains(p) && !index.IsDominated(p)) return false;
+    const PackedPattern probe = codec_.Encode(p);
+    for (const PackedMupIndex& index : indices_) {
+      if (!index.Contains(probe) && !index.IsDominated(probe)) return false;
     }
     return true;
   }
 
  private:
-  std::vector<MupDominanceIndex> indices_;
+  const PatternCodec& codec_;
+  std::vector<PackedMupIndex> indices_;
 };
 
 enum class NodeState : std::uint8_t { kSkipped, kPending, kCovered, kMup };
@@ -107,6 +117,8 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
   if (shards.empty()) {
     return Status::InvalidArgument("distributed audit needs >= 1 shard");
   }
+  auto codec = PatternCodec::Build(schema);
+  COVERAGE_RETURN_IF_ERROR(codec.status());
   Stopwatch timer;
   const int d = schema.num_attributes();
   const std::size_t num_shards = shards.size();
@@ -153,7 +165,7 @@ StatusOr<DistributedAuditResult> RunDistributedAudit(
   result.max_level = cap;
   const int bfs_max = cap < 0 ? d : std::min(cap, d);
 
-  const DownClosureCheck closure(schema, candidates);
+  const DownClosureCheck closure(schema, *codec, candidates);
 
   // --- Phase 2: the PATTERN-BREAKER BFS, verbatim except that the coverage
   // probe is tier-1-or-scatter. See pattern_breaker.cc for the structure

@@ -65,8 +65,8 @@
 #include "ml/decision_tree.h"           // IWYU pragma: export
 #include "ml/model_metrics.h"           // IWYU pragma: export
 #include "ml/split.h"                   // IWYU pragma: export
-#include "mups/mup_index.h"             // IWYU pragma: export
 #include "mups/mups.h"                  // IWYU pragma: export
+#include "mups/packed_index.h"          // IWYU pragma: export
 #include "pattern/packed_pattern.h"     // IWYU pragma: export
 #include "pattern/packed_set.h"         // IWYU pragma: export
 #include "pattern/pattern.h"            // IWYU pragma: export

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "dataset/csv_stream.h"
-#include "mups/mup_index.h"
 #include "mups/packed_index.h"
 #include "pattern/packed_set.h"
 
@@ -51,13 +48,9 @@ Status EncodeRows(const Schema& schema,
 CoverageEngine::CoverageEngine(Schema schema, EngineOptions options)
     : schema_(std::move(schema)), options_(options) {
   assert(options_.num_threads >= 1);
-  if (options_.use_packed_representation) {
-    auto codec = PatternCodec::Build(schema_);
-    if (codec.ok()) {
-      codec_ = std::move(*codec);
-      packed_ok_ = true;
-    }
-  }
+  auto codec = PatternCodec::Build(schema_);
+  assert(codec.ok() && "schema exceeds the packed pattern limit");
+  if (codec.ok()) codec_ = std::move(*codec);
   auto first = std::shared_ptr<Snapshot>(
       new Snapshot(AggregatedData(schema_), nullptr, 0));
   // cov(P) = 0 for every pattern of the empty dataset, so the root is the
@@ -105,6 +98,9 @@ EngineImage CoverageEngine::CaptureImage() const {
 
 StatusOr<std::unique_ptr<CoverageEngine>> CoverageEngine::Restore(
     EngineImage image) {
+  // A session written before maintenance became packed-only may hold a
+  // schema too wide to pack; refuse it before building anything.
+  COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(image.schema).status());
   auto agg = AggregatedData::Restore(image.schema, std::move(image.agg_cells),
                                      std::move(image.agg_counts));
   if (!agg.ok()) return agg.status();
@@ -288,7 +284,7 @@ Status CoverageEngine::RetractFrom(const std::shared_ptr<const Snapshot>& base,
 
   auto next = std::shared_ptr<Snapshot>(
       new Snapshot(std::move(agg), base->oracle_, tombstoned, {}, epoch));
-  next->mups_ = RetractMups(*next, base->mups_, std::move(seeds), stats);
+  next->mups_ = RetractMups(*next, base->mups_, seeds, stats);
 
   // Tombstone compaction: once dead combinations pass the configured
   // fraction, republish this epoch over a dense rebuild. The MUP set is
@@ -390,7 +386,7 @@ StatusOr<IngestStats> CoverageEngine::IngestCsvChunked(std::istream& is,
   return stats;
 }
 
-std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
+std::vector<Pattern> CoverageEngine::UpdateMups(
     const Snapshot& next, const std::vector<Pattern>& old_mups,
     EngineUpdateStats* stats) {
   const BitmapCoverage& oracle = next.oracle();
@@ -403,8 +399,9 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   old_packed.reserve(old_mups.size());
   for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode(m));
 
-  // Phase 1 — recheck every previous MUP against the grown counts (same
-  // probe sequence as the legacy path: one CoverageAtLeast per MUP).
+  // Phase 1 — recheck every previous MUP against the grown counts, one
+  // CoverageAtLeast each. The probes are independent, so they parallelise
+  // over the pool with a deterministic merge by index.
   std::vector<char> covered(old_packed.size(), 0);
   if (options_.num_threads > 1 && old_packed.size() >= 128) {
     if (pool_ == nullptr) {
@@ -440,21 +437,20 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   }
   stats->mups_rechecked = old_mups.size();
   stats->mups_newly_covered = frontier.size();
-  if (frontier.empty()) {
-    // Still sorted: a subsequence of the sorted old set.
-    std::vector<Pattern> out;
-    out.reserve(mups.size());
-    for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-    return out;
-  }
+  // Still sorted: a subsequence of the sorted old set.
+  if (frontier.empty()) return codec.DecodeAll(mups);
 
-  // Phase 2 — re-seed the Appendix-B dominance index from the survivors.
+  // Phase 2 — re-seed the Appendix-B dominance index from the survivors in
+  // one batched append; fresh MUPs join it as they are found.
   PackedMupIndex index(schema_, codec);
   index.AddBatch(mups);
 
-  // Phase 3 — BFS over the covered region beneath the newly covered MUPs,
-  // frontier and dedup set both arena-backed (the FIFO is an ArenaVector
-  // with a head cursor; nothing is ever popped physically).
+  // Phase 3 — BFS over the covered region beneath the newly covered MUPs.
+  // Insert monotonicity confines every fresh MUP to these subtrees: an
+  // uncovered child with every parent covered is a MUP; a covered child is
+  // expanded further. `seen` dedups nodes shared between subtrees. Frontier
+  // and dedup set are both arena-backed (the FIFO is an ArenaVector with a
+  // head cursor; nothing is ever popped physically).
   QueryContext ctx;
   Arena arena;
   PackedPatternSet seen(&arena);
@@ -500,115 +496,16 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   }
   stats->coverage_queries += ctx.num_queries();
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
-  std::vector<Pattern> out;
-  out.reserve(mups.size());
-  for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-  return out;
+  return codec.DecodeAll(mups);
 }
 
-std::vector<Pattern> CoverageEngine::UpdateMups(
-    const Snapshot& next, const std::vector<Pattern>& old_mups,
-    EngineUpdateStats* stats) {
-  if (packed_ok_) return UpdateMupsPacked(next, old_mups, stats);
-  const BitmapCoverage& oracle = next.oracle();
-  const Schema& schema = next.data().schema();
-  const std::uint64_t tau = options_.tau;
-  const int d = schema.num_attributes();
-  const int max_level = options_.max_level < 0 ? d : options_.max_level;
-
-  // Phase 1 — recheck every previous MUP against the grown counts. The
-  // probes are independent, so they parallelise over the pool with a
-  // deterministic merge by index.
-  std::vector<char> covered(old_mups.size(), 0);
-  if (options_.num_threads > 1 && old_mups.size() >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    ThreadPool& pool = *pool_;
-    std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool.num_workers()));
-    pool.ParallelFor(old_mups.size(), 64, [&](int worker, std::size_t i) {
-      covered[i] = oracle.CoverageAtLeast(
-                       old_mups[i], tau,
-                       ctxs[static_cast<std::size_t>(worker)])
-                       ? 1
-                       : 0;
-    });
-    for (const QueryContext& ctx : ctxs) {
-      stats->coverage_queries += ctx.num_queries();
-    }
-  } else {
-    QueryContext ctx;
-    for (std::size_t i = 0; i < old_mups.size(); ++i) {
-      covered[i] = oracle.CoverageAtLeast(old_mups[i], tau, ctx) ? 1 : 0;
-    }
-    stats->coverage_queries += ctx.num_queries();
-  }
-
-  std::vector<Pattern> mups;      // survivors, then fresh discoveries
-  std::vector<Pattern> frontier;  // newly covered → re-expansion roots
-  for (std::size_t i = 0; i < old_mups.size(); ++i) {
-    (covered[i] != 0 ? frontier : mups).push_back(old_mups[i]);
-  }
-  stats->mups_rechecked = old_mups.size();
-  stats->mups_newly_covered = frontier.size();
-  if (frontier.empty()) return mups;  // still sorted: a subsequence
-
-  // Phase 2 — re-seed the Appendix-B dominance index from the survivors in
-  // one batched append; fresh MUPs join it as they are found.
-  MupDominanceIndex index(schema);
-  index.AddBatch(mups);
-
-  // Phase 3 — BFS over the covered region beneath the newly covered MUPs.
-  // Insert monotonicity confines every fresh MUP to these subtrees: an
-  // uncovered child with every parent covered is a MUP; a covered child is
-  // expanded further. `seen` dedups nodes shared between subtrees.
-  QueryContext ctx;
-  std::unordered_set<Pattern, PatternHash> seen(frontier.begin(),
-                                                frontier.end());
-  std::deque<Pattern> queue(frontier.begin(), frontier.end());
-  while (!queue.empty()) {
-    const Pattern p = std::move(queue.front());
-    queue.pop_front();
-    if (p.level() >= max_level) continue;  // children would exceed the cap
-    for (int attr = 0; attr < d; ++attr) {
-      if (p.is_deterministic(attr)) continue;
-      for (Value v = 0; v < static_cast<Value>(schema.cardinality(attr));
-           ++v) {
-        Pattern child = p.WithCell(attr, v);
-        if (!seen.insert(child).second) continue;
-        if (oracle.CoverageAtLeast(child, tau, ctx)) {
-          queue.push_back(std::move(child));
-          continue;
-        }
-        // Uncovered. Beneath a maintained MUP → not maximal, whole subtree
-        // already accounted for.
-        if (index.IsDominated(child)) continue;
-        // Maximal iff every parent is covered; `p` is one of them and is
-        // known covered.
-        bool maximal = true;
-        for (const Pattern& parent : child.Parents()) {
-          if (parent == p) continue;
-          if (!oracle.CoverageAtLeast(parent, tau, ctx)) {
-            maximal = false;
-            break;
-          }
-        }
-        if (!maximal) continue;
-        mups.push_back(child);
-        ++stats->mups_added;
-        index.Add(child);
-      }
-    }
-  }
-  stats->coverage_queries += ctx.num_queries();
-  std::sort(mups.begin(), mups.end());
-  return mups;
-}
-
-std::vector<Pattern> CoverageEngine::RetractMupsPacked(
+std::vector<Pattern> CoverageEngine::RetractMups(
     const Snapshot& next, const std::vector<Pattern>& old_mups,
     const std::vector<Pattern>& seeds, EngineUpdateStats* stats) {
+  // No retracted combination crossed below τ ⇒ the MUP set is unchanged:
+  // a demotion would need a parent below τ, which in turn forces a changed
+  // matched combination below τ — i.e. a seed. Skip all maintenance.
+  if (seeds.empty()) return old_mups;
   const BitmapCoverage& oracle = next.oracle();
   const PatternCodec& codec = codec_;
   const std::uint64_t tau = options_.tau;
@@ -619,8 +516,11 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   old_packed.reserve(old_mups.size());
   for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode(m));
 
-  // Phase 1 — recheck each previous MUP's parents (see the legacy body for
-  // the monotonicity argument; probe sequence is identical).
+  // Phase 1 — deletion keeps every previous MUP uncovered, but maximality
+  // can break: a parent whose count fell below τ is now an uncovered strict
+  // ancestor. Recheck each previous MUP's parents; the probes are
+  // independent, so they parallelise over the pool with a deterministic
+  // merge by index, exactly like the append-path recheck.
   std::vector<char> maximal(old_packed.size(), 1);
   const auto recheck = [&](const PackedPattern& m, QueryContext& ctx) -> char {
     for (int i = 0; i < d; ++i) {
@@ -653,8 +553,11 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   }
   stats->mups_rechecked += old_mups.size();
 
-  // Phase 2 — seed the index with the whole previous set, then Remove the
-  // demoted MUPs.
+  // Phase 2 — seed the Appendix-B index with the whole previous set in one
+  // batched append, then Remove the demoted MUPs: only verified-maximal
+  // patterns may stay, because both pruning directions below lean on
+  // maximality (a pattern strictly dominating a maintained MUP generalises
+  // one of its covered parents).
   Arena arena;
   PackedMupIndex index(schema_, codec);
   index.AddBatch(old_packed);
@@ -670,9 +573,17 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
     }
   }
 
-  // Phase 3 — upward BFS from the retracted combinations now below τ (see
-  // the legacy body). The memo packs three states into one byte: -1 unknown
-  // slot just created, 0 uncovered, 1 covered.
+  // Phase 3 — upward BFS from the retracted combinations now below τ,
+  // expanding only through uncovered patterns. Every new MUP is an ancestor
+  // of such a combination (its count changed, so it matches a retracted
+  // row), and the whole lattice interval between the two is uncovered by
+  // monotonicity, so the walk reaches it. A visited pattern is a MUP iff
+  // every parent is covered; all parents are probed regardless, because
+  // each uncovered parent is itself a climb route. The memo answers each
+  // pattern once — it packs three states into one byte: -1 slot just
+  // created, 0 uncovered, 1 covered — and the dominance index converts both
+  // strict-dominance directions into free coverage answers (below a MUP ⇒
+  // uncovered, above one ⇒ covered).
   QueryContext ctx;
   PackedPatternMap<std::int8_t> covered(&arena);
   ArenaVector<PackedPattern> queue(&arena);
@@ -718,130 +629,7 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   }
   stats->coverage_queries += ctx.num_queries();
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
-  std::vector<Pattern> out;
-  out.reserve(mups.size());
-  for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-  return out;
-}
-
-std::vector<Pattern> CoverageEngine::RetractMups(
-    const Snapshot& next, const std::vector<Pattern>& old_mups,
-    std::vector<Pattern> seeds, EngineUpdateStats* stats) {
-  // No retracted combination crossed below τ ⇒ the MUP set is unchanged:
-  // a demotion would need a parent below τ, which in turn forces a changed
-  // matched combination below τ — i.e. a seed. Skip all maintenance; checked
-  // here so both representations share the early exit.
-  if (seeds.empty()) return old_mups;
-  if (packed_ok_) return RetractMupsPacked(next, old_mups, seeds, stats);
-  const BitmapCoverage& oracle = next.oracle();
-  const Schema& schema = next.data().schema();
-  const std::uint64_t tau = options_.tau;
-  const int d = schema.num_attributes();
-  const int max_level = options_.max_level < 0 ? d : options_.max_level;
-
-  // Phase 1 — deletion keeps every previous MUP uncovered, but maximality
-  // can break: a parent whose count fell below τ is now an uncovered strict
-  // ancestor. Recheck each previous MUP's parents; the probes are
-  // independent, so they parallelise over the pool with a deterministic
-  // merge by index, exactly like the append-path recheck.
-  std::vector<char> maximal(old_mups.size(), 1);
-  const auto recheck = [&](const Pattern& m, QueryContext& ctx) -> char {
-    for (const Pattern& parent : m.Parents()) {
-      if (!oracle.CoverageAtLeast(parent, tau, ctx)) return 0;
-    }
-    return 1;
-  };
-  if (options_.num_threads > 1 && old_mups.size() >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    ThreadPool& pool = *pool_;
-    std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool.num_workers()));
-    pool.ParallelFor(old_mups.size(), 64, [&](int worker, std::size_t i) {
-      maximal[i] =
-          recheck(old_mups[i], ctxs[static_cast<std::size_t>(worker)]);
-    });
-    for (const QueryContext& ctx : ctxs) {
-      stats->coverage_queries += ctx.num_queries();
-    }
-  } else {
-    QueryContext ctx;
-    for (std::size_t i = 0; i < old_mups.size(); ++i) {
-      maximal[i] = recheck(old_mups[i], ctx);
-    }
-    stats->coverage_queries += ctx.num_queries();
-  }
-  stats->mups_rechecked += old_mups.size();
-
-  // Phase 2 — seed the Appendix-B index with the whole previous set in one
-  // batched append, then Remove the demoted MUPs: only verified-maximal
-  // patterns may stay, because both pruning directions below lean on
-  // maximality (a pattern strictly dominating a maintained MUP generalises
-  // one of its covered parents).
-  MupDominanceIndex index(schema);
-  index.AddBatch(old_mups);
-  std::vector<Pattern> mups;  // survivors, then fresh discoveries
-  std::unordered_set<Pattern, PatternHash> member;
-  for (std::size_t i = 0; i < old_mups.size(); ++i) {
-    if (maximal[i] != 0) {
-      mups.push_back(old_mups[i]);
-      member.insert(old_mups[i]);
-    } else {
-      index.Remove(old_mups[i]);
-      ++stats->mups_demoted;
-    }
-  }
-
-  // Phase 3 — upward BFS from the retracted combinations now below τ,
-  // expanding only through uncovered patterns. Every new MUP is an ancestor
-  // of such a combination (its count changed, so it matches a retracted
-  // row), and the whole lattice interval between the two is uncovered by
-  // monotonicity, so the walk reaches it. A visited pattern is a MUP iff
-  // every parent is covered; all parents are probed regardless, because
-  // each uncovered parent is itself a climb route. The memo answers each
-  // pattern once; the dominance index converts both strict-dominance
-  // directions into free coverage answers (below a MUP ⇒ uncovered, above
-  // one ⇒ covered).
-  QueryContext ctx;
-  std::unordered_map<Pattern, bool, PatternHash> covered;  // pattern → cov≥τ
-  std::deque<Pattern> queue;
-  for (Pattern& seed : seeds) {
-    if (covered.try_emplace(seed, false).second) {
-      queue.push_back(std::move(seed));
-    }
-  }
-  const auto is_covered = [&](const Pattern& q) -> bool {
-    const auto [it, inserted] = covered.try_emplace(q, false);
-    if (!inserted) return it->second;
-    bool cov;
-    if (index.Contains(q) || index.IsDominated(q)) {
-      cov = false;  // a maintained MUP, or beneath one: uncovered
-    } else if (index.DominatesSome(q)) {
-      cov = true;  // generalises a covered parent of a maintained MUP
-    } else {
-      cov = oracle.CoverageAtLeast(q, tau, ctx);
-    }
-    it->second = cov;
-    if (!cov) queue.push_back(q);
-    return cov;
-  };
-  while (!queue.empty()) {
-    const Pattern p = std::move(queue.front());
-    queue.pop_front();
-    bool is_maximal = true;
-    for (const Pattern& parent : p.Parents()) {
-      if (!is_covered(parent)) is_maximal = false;  // keep probing: routes
-    }
-    if (!is_maximal || p.level() > max_level) continue;
-    if (!member.insert(p).second) continue;  // already a survivor
-    mups.push_back(p);
-    index.Add(p);
-    ++stats->mups_added;
-  }
-  stats->coverage_queries += ctx.num_queries();
-  std::sort(mups.begin(), mups.end());
-  return mups;
+  return codec.DecodeAll(mups);
 }
 
 }  // namespace coverage

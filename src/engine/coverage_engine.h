@@ -71,14 +71,6 @@ struct EngineOptions {
   /// historical behaviour). Not persisted: a restored engine applies its
   /// caller's setting.
   double compact_tombstone_fraction = 0.0;
-
-  /// Run the incremental maintenance (MUP recheck + re-expansion / upward
-  /// climb) on the packed pattern representation. Identical results and
-  /// query counts either way — the flag exists for the differential suite
-  /// and as an escape hatch. Schemas too wide for a PatternCodec fall back
-  /// to the legacy representation automatically. Not persisted: a restored
-  /// engine picks its own representation.
-  bool use_packed_representation = true;
 };
 
 /// A serializable full-state image of an engine: everything needed to
@@ -138,7 +130,7 @@ struct IngestStats {
 /// strictly beneath a previous MUP whose count crossed τ. The update
 /// therefore rechecks the previous MUPs and re-expands only from the newly
 /// covered ones, pruning with the Appendix-B dominance index (re-seeded per
-/// epoch via MupDominanceIndex::AddBatch). The result is bit-identical to a
+/// epoch via PackedMupIndex::AddBatch). The result is bit-identical to a
 /// from-scratch search on the accumulated data.
 ///
 /// Data also shrinks (sliding windows, retention, GDPR erasure), through
@@ -163,6 +155,11 @@ struct IngestStats {
 /// or exposed to an in-flight epoch build; writers serialise among
 /// themselves on an internal writer lock. Queries go through the caller's
 /// QueryContext exactly as with a standalone BitmapCoverage.
+///
+/// Maintenance runs on PackedPattern, so the schema must fit a PatternCodec
+/// (256 packed bits). Restore and the service and durable-session entry
+/// points return InvalidArgument for a wider schema; the constructor takes
+/// the fit as a precondition (asserted).
 ///
 /// Complexity per epoch: O(distinct combinations) for the aggregated-
 /// relation copy and index extension, plus maintenance work proportional to
@@ -212,7 +209,8 @@ class CoverageEngine {
   using Row = std::span<const Value>;
 
   /// Starts at epoch 0 over the empty dataset (whose only MUP is the root
-  /// whenever tau >= 1). The schema must be final — bucketize first.
+  /// whenever tau >= 1). The schema must be final — bucketize first — and
+  /// fit a PatternCodec.
   explicit CoverageEngine(Schema schema, EngineOptions options = {});
   ~CoverageEngine();
 
@@ -261,7 +259,8 @@ class CoverageEngine {
   /// restored relation and the image's MUP set verbatim — no MUP search
   /// runs, and query answers are bit-identical to the captured engine's
   /// (tombstoned combinations contribute 0 either way). The image is
-  /// validated; a corrupted one yields InvalidArgument, never UB.
+  /// validated; a corrupted one, or one whose schema is too wide to pack,
+  /// yields InvalidArgument, never UB.
   static StatusOr<std::unique_ptr<CoverageEngine>> Restore(EngineImage image);
 
   /// The current MUP set (Problem 1 on the accumulated data), sorted.
@@ -296,30 +295,18 @@ class CoverageEngine {
  private:
   /// Incremental Problem-1 maintenance for an append epoch (insert
   /// monotonicity, downward re-expansion); returns the new MUP set, sorted.
-  /// Dispatches to the packed core when the codec is available. Caller holds
-  /// writer_mu_.
+  /// Caller holds writer_mu_.
   std::vector<Pattern> UpdateMups(const Snapshot& next,
                                   const std::vector<Pattern>& old_mups,
                                   EngineUpdateStats* stats);
 
   /// Incremental Problem-1 maintenance for a retraction epoch (deletion
   /// monotonicity, upward climb from `seeds` — the retracted combinations
-  /// now below τ); returns the new MUP set, sorted. Dispatches to the packed
-  /// core when the codec is available. Caller holds writer_mu_.
+  /// now below τ); returns the new MUP set, sorted. Caller holds writer_mu_.
   std::vector<Pattern> RetractMups(const Snapshot& next,
                                    const std::vector<Pattern>& old_mups,
-                                   std::vector<Pattern> seeds,
+                                   const std::vector<Pattern>& seeds,
                                    EngineUpdateStats* stats);
-
-  /// Packed cores of the two maintenance paths: same phases, same query
-  /// sequence, arena-backed frontiers instead of per-node vector<int>.
-  std::vector<Pattern> UpdateMupsPacked(const Snapshot& next,
-                                        const std::vector<Pattern>& old_mups,
-                                        EngineUpdateStats* stats);
-  std::vector<Pattern> RetractMupsPacked(const Snapshot& next,
-                                         const std::vector<Pattern>& old_mups,
-                                         const std::vector<Pattern>& seeds,
-                                         EngineUpdateStats* stats);
 
   /// Builds the retraction snapshot: copies `base`'s relation, decrements
   /// every row of `removed` (InvalidArgument if one is absent; nothing
@@ -345,11 +332,8 @@ class CoverageEngine {
 
   Schema schema_;
   EngineOptions options_;
-  /// Built once at construction when use_packed_representation is set and
-  /// the schema fits; packed_ok_ false routes maintenance to the legacy
-  /// representation.
+  /// Built once at construction; every maintenance pass runs on it.
   PatternCodec codec_;
-  bool packed_ok_ = false;
   mutable std::mutex snapshot_mu_;  // guards current_ (pointer swap only)
   /// Serialises epoch builds; mutable so const CaptureImage can take a
   /// consistent cut of snapshot + window state.

@@ -3,17 +3,18 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 
 namespace coverage {
 
 namespace {
 
-/// An item is one (attribute, value) pair; an item-set is a sorted vector of
-/// item ids. See legacy_mups.cc for the role of the item lattice; the packed
-/// variant below keeps the identical lattice walk but stores each level's
-/// frequent sets in one flat buffer (all rows share a width) and emits MUPs
+/// An item is one (attribute, value) pair; an item-set is a sorted list of
+/// item ids. The lattice over item-sets is much larger than the pattern
+/// graph (the paper's core criticism of this adaptation): item-sets mixing
+/// two values of one attribute are representable and must be generated,
+/// counted, and finally discarded as invalid. Each level's frequent sets
+/// live in one flat buffer (all rows share a width), and MUPs are emitted
 /// directly as packed keys.
 struct ItemCatalog {
   std::vector<int> attr_of;    // item id -> attribute
@@ -224,18 +225,11 @@ StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
 StatusOr<std::vector<Pattern>> FindMupsApriori(const BitmapCoverage& oracle,
                                                const MupSearchOptions& options,
                                                MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(oracle.data().schema());
-    if (codec.ok()) {
-      auto packed = FindMupsAprioriPacked(oracle, *codec, options, stats);
-      COVERAGE_RETURN_IF_ERROR(packed.status());
-      std::vector<Pattern> mups;
-      mups.reserve(packed->size());
-      for (const PackedPattern& p : *packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsApriori(oracle, options, stats);
+  auto codec = PatternCodec::Build(oracle.data().schema());
+  COVERAGE_RETURN_IF_ERROR(codec.status());
+  auto packed = FindMupsAprioriPacked(oracle, *codec, options, stats);
+  COVERAGE_RETURN_IF_ERROR(packed.status());
+  return codec->DecodeAll(*packed);
 }
 
 }  // namespace coverage

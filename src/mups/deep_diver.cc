@@ -1,9 +1,9 @@
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/stopwatch.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "mups/packed_index.h"
 #include "pattern/packed_set.h"
@@ -12,9 +12,11 @@ namespace coverage {
 
 namespace {
 
-/// Covered/uncovered answers with a memo over packed keys; the memo table's
-/// storage comes from the search's arena, so a dive session costs zero
-/// per-node allocations. See legacy_mups.cc for the role of the cache.
+/// Covered/uncovered answers with a memo over packed keys. The climb phase
+/// re-examines parents that later dives may touch again, so the memo keeps
+/// the query count near the number of distinct nodes actually inspected.
+/// Its storage comes from the search's arena, so a dive session costs zero
+/// per-node allocations.
 class CachingCoverage {
  public:
   CachingCoverage(const CoverageOracle& oracle, const PatternCodec& codec,
@@ -40,8 +42,9 @@ class CachingCoverage {
 
 using DominanceMode = MupSearchOptions::DominanceMode;
 
-/// Discovered-MUP set with the dominance strategy selected by
-/// MupSearchOptions::dominance_mode (mirrors legacy_mups.cc). Membership is
+/// Discovered-MUP set answering the pruning queries with the strategy
+/// selected by MupSearchOptions::dominance_mode: the Appendix-B index, a
+/// linear scan, or no pruning at all (the ablation study). Membership is
 /// exact in every mode (needed for termination).
 class DominanceChecker {
  public:
@@ -90,9 +93,10 @@ class DominanceChecker {
 };
 
 /// Climbs from an uncovered node through uncovered parents until every
-/// parent is covered; that node is a MUP. Parents are tried in ascending
-/// attribute order (same as Pattern::Parents()), so the climb endpoint — and
-/// with it the query sequence — matches the legacy implementation exactly.
+/// parent is covered; that node is a MUP. The climb can only move up, so it
+/// terminates at the root at the latest. Parents are tried in ascending
+/// attribute order (same as Pattern::Parents()), which fixes the climb
+/// endpoint and with it the query sequence.
 PackedPattern ClimbToMup(const PackedPattern& start, const PatternCodec& codec,
                          CachingCoverage& cov) {
   PackedPattern current = start;
@@ -190,18 +194,11 @@ std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
                                        const Schema& schema,
                                        const MupSearchOptions& options,
                                        MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(schema);
-    if (codec.ok()) {
-      const std::vector<PackedPattern> packed =
-          FindMupsDeepDiverPacked(oracle, schema, *codec, options, stats);
-      std::vector<Pattern> mups;
-      mups.reserve(packed.size());
-      for (const PackedPattern& p : packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsDeepDiver(oracle, schema, options, stats);
+  auto codec = PatternCodec::Build(schema);
+  assert(codec.ok() && "schema exceeds the packed pattern limit");
+  if (!codec.ok()) return {};
+  return codec->DecodeAll(
+      FindMupsDeepDiverPacked(oracle, schema, *codec, options, stats));
 }
 
 }  // namespace coverage

@@ -100,26 +100,9 @@ StatusOr<std::vector<Pattern>> FindMups(MupAlgorithm algorithm,
                                         const BitmapCoverage& oracle,
                                         const MupSearchOptions& options,
                                         MupSearchStats* stats) {
-  switch (algorithm) {
-    case MupAlgorithm::kNaive:
-      return FindMupsNaive(oracle, oracle.data().schema(), options, stats);
-    case MupAlgorithm::kPatternBreaker:
-      return FindMupsPatternBreaker(oracle, options, stats);
-    case MupAlgorithm::kPatternCombiner:
-      return FindMupsPatternCombiner(oracle, options, stats);
-    case MupAlgorithm::kDeepDiver:
-      return FindMupsDeepDiver(oracle, options, stats);
-    case MupAlgorithm::kApriori:
-      return FindMupsApriori(oracle, options, stats);
-    case MupAlgorithm::kAuto: {
-      const PlannerDecision decision = PlanMupSearch(oracle.data(), options);
-      MupSearchOptions resolved = options;
-      resolved.max_level = decision.max_level;
-      resolved.num_threads = decision.num_threads;
-      return FindMups(decision.algorithm, oracle, resolved, stats);
-    }
-  }
-  return Status::InvalidArgument("unknown MUP algorithm");
+  auto packed = FindMupsPacked(algorithm, oracle, options, stats);
+  COVERAGE_RETURN_IF_ERROR(packed.status());
+  return packed->Materialize();
 }
 
 StatusOr<PackedMupSet> FindMupsPacked(MupAlgorithm algorithm,
@@ -132,7 +115,7 @@ StatusOr<PackedMupSet> FindMupsPacked(MupAlgorithm algorithm,
   result.codec = std::move(*codec);
   switch (algorithm) {
     case MupAlgorithm::kNaive: {
-      // NAIVE has no packed core; compute legacy-side and encode.
+      // NAIVE has no packed core; compute on Pattern and encode.
       auto mups =
           FindMupsNaive(oracle, oracle.data().schema(), options, stats);
       COVERAGE_RETURN_IF_ERROR(mups.status());

@@ -56,17 +56,6 @@ struct MupSearchOptions {
   /// synchronised — it must belong to the calling thread. Other algorithms
   /// ignore it.
   obs::Trace* trace = nullptr;
-
-  /// When true (the default) the searches run on the PackedPattern
-  /// representation — fixed-width keys, O(words) hash/equality/dominance,
-  /// arena-allocated BFS frontiers — whenever the schema fits a PatternCodec
-  /// (PackedPattern::kMaxWords * 64 bits). Schemas too wide to pack fall
-  /// back to the legacy vector<int> implementations automatically. Setting
-  /// this to false forces the legacy path; the differential suite uses the
-  /// switch to prove the two representations bit-identical, and it doubles
-  /// as an escape hatch. Output and per-algorithm query counts are identical
-  /// either way.
-  bool use_packed_representation = true;
 };
 
 /// Instrumentation filled in by each search; the paper's efficiency argument
@@ -154,15 +143,27 @@ struct PlannerDecision {
 PlannerDecision PlanMupSearch(const AggregatedData& data,
                               const MupSearchOptions& options);
 
+// ---------------------------------------------------------------------------
+// The searches. Every one runs on PackedPattern — fixed-width keys,
+// O(words) hash/equality/dominance, arena-allocated frontiers — and decodes
+// to Pattern at the boundary, so the schema must fit a PatternCodec
+// (PackedPattern::kMaxWords * 64 = 256 bits, e.g. up to 128 binary
+// attributes). The StatusOr entry points return InvalidArgument for a wider
+// schema; the vector-returning ones take the fit as a precondition.
+
 /// §III-A: enumerate the whole pattern graph, compute every coverage, and
 /// filter non-maximal uncovered patterns pairwise. Exponential; guarded by
-/// `options.enumeration_limit`.
+/// `options.enumeration_limit`. This is Problem 1 solved by definition —
+/// the reference the packed searches are tested against — and the only
+/// search that does not pack (it works for any schema width).
 StatusOr<std::vector<Pattern>> FindMupsNaive(const CoverageOracle& oracle,
                                              const Schema& schema,
                                              const MupSearchOptions& options,
                                              MupSearchStats* stats = nullptr);
 
 /// §III-C, Algorithm 1: top-down BFS with Rule-1 candidate generation.
+///
+/// Precondition: the schema fits a PatternCodec (asserted).
 ///
 /// Implementation note: we keep the *covered* candidates of the previous
 /// level in Qp (rather than all candidates). With Qp as the literal previous
@@ -197,6 +198,7 @@ StatusOr<std::vector<Pattern>> FindMupsPatternCombiner(
 /// everything dominating or dominated by discovered MUPs (via the Appendix-B
 /// inverted indices; see MupSearchOptions::dominance_mode for the ablation
 /// alternatives). Always serial: options.num_threads is ignored.
+/// Precondition: the schema fits a PatternCodec (asserted).
 std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
                                        const Schema& schema,
                                        const MupSearchOptions& options,
@@ -223,10 +225,9 @@ StatusOr<std::vector<Pattern>> FindMups(MupAlgorithm algorithm,
                                         MupSearchStats* stats = nullptr);
 
 // ---------------------------------------------------------------------------
-// Packed-representation entry points. The FindMups* functions above already
-// run on PackedPattern internally (and decode at the boundary); these let
-// callers that can consume packed results — the service/wire layer, the
-// benchmarks, the differential suite — skip the decode entirely.
+// Packed entry points. The FindMups* functions above run these cores and
+// decode at the boundary; callers that can consume packed results — the
+// service/wire layer, the benchmarks — skip the decode entirely.
 
 /// A MUP set in packed form plus the codec that gives the keys meaning.
 /// `mups` is sorted in the same lexicographic cell order FindMups reports.
@@ -234,12 +235,7 @@ struct PackedMupSet {
   PatternCodec codec;
   std::vector<PackedPattern> mups;
 
-  std::vector<Pattern> Materialize() const {
-    std::vector<Pattern> out;
-    out.reserve(mups.size());
-    for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-    return out;
-  }
+  std::vector<Pattern> Materialize() const { return codec.DecodeAll(mups); }
 };
 
 /// Packed cores of the individual algorithms. `codec` must have been built
@@ -264,9 +260,8 @@ StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
     const MupSearchOptions& options, MupSearchStats* stats = nullptr);
 
 /// Dispatch on `algorithm` returning packed results (NAIVE, which has no
-/// packed core, is computed legacy-side and encoded). Fails with
-/// kResourceExhausted if the schema does not fit a PatternCodec — callers
-/// fall back to FindMups, which handles wide schemas via the legacy path.
+/// packed core, is computed on Pattern and encoded). Fails with
+/// InvalidArgument if the schema does not fit a PatternCodec.
 StatusOr<PackedMupSet> FindMupsPacked(MupAlgorithm algorithm,
                                       const BitmapCoverage& oracle,
                                       const MupSearchOptions& options,

@@ -125,9 +125,8 @@ int HitsUpToTwo(std::size_t num_bits, int num_attributes, Narrow&& narrow) {
 bool PackedMupIndex::IsDominated(const PackedPattern& pattern) const {
   if (mups_.empty()) return false;
   // A dominating MUP has a wildcard wherever `pattern` does, and a wildcard
-  // or the same value wherever `pattern` is deterministic — the AND over
-  // attributes of MupDominanceIndex::IsDominated, cells read through the
-  // codec.
+  // or the same value wherever `pattern` is deterministic: AND those slot
+  // vectors over the attributes.
   const int hits = HitsUpToTwo(
       mups_.size(), static_cast<int>(offsets_.size()),
       [&](int attr, std::size_t first, std::size_t n, Word* acc) {

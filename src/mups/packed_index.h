@@ -11,13 +11,12 @@
 
 namespace coverage {
 
-/// The Appendix-B MUP-dominance index keyed by PackedPattern: identical
-/// slot-bitvector design to MupDominanceIndex (one wildcard vector plus one
-/// vector per value per attribute, one bit per registered MUP), but every
-/// pattern touch goes through the codec's O(1) field accessors and the
-/// membership set hashes two to four words instead of d cells. The packed
-/// search and engine paths use this; the legacy index stays behind for the
-/// vector<int> shadow path.
+/// The Appendix-B MUP-dominance index, keyed by PackedPattern: one
+/// slot bit-vector per wildcard and one per value of every attribute, one
+/// bit per registered MUP. Every pattern touch goes through the codec's O(1)
+/// field accessors, and the membership set hashes two to four words instead
+/// of d cells. DEEPDIVER, the engine's maintenance epochs and the
+/// coordinator's tier-1 check all use it.
 ///
 /// Thread-safety: none.
 class PackedMupIndex {

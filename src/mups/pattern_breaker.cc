@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -9,7 +10,6 @@
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "pattern/packed_set.h"
 
@@ -17,10 +17,12 @@ namespace coverage {
 
 namespace {
 
-/// Per-frontier-node outcome of the (parallelisable) evaluation step; see
-/// legacy_mups.cc for the determinism argument — the packed core is a
-/// line-for-line mirror, so the queue-order merge reproduces the legacy
-/// output (and query counts) bit for bit.
+/// Per-frontier-node outcome of the (parallelisable) evaluation step. The
+/// decision for a node depends only on state frozen at the start of its BFS
+/// level — the covered nodes of earlier levels — plus the (immutable)
+/// oracle, so frontier nodes can be evaluated in any order or concurrently
+/// and merged back in queue order to reproduce the serial output, and its
+/// query counts, bit for bit.
 enum class NodeOutcome : std::uint8_t { kSkipped, kMup, kCovered };
 
 /// A BFS queue entry. `rank` is the node's mixed-radix rank
@@ -239,18 +241,11 @@ std::vector<Pattern> FindMupsPatternBreaker(const CoverageOracle& oracle,
                                             const Schema& schema,
                                             const MupSearchOptions& options,
                                             MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(schema);
-    if (codec.ok()) {
-      const std::vector<PackedPattern> packed =
-          FindMupsPatternBreakerPacked(oracle, schema, *codec, options, stats);
-      std::vector<Pattern> mups;
-      mups.reserve(packed.size());
-      for (const PackedPattern& p : packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsPatternBreaker(oracle, schema, options, stats);
+  auto codec = PatternCodec::Build(schema);
+  assert(codec.ok() && "schema exceeds the packed pattern limit");
+  if (!codec.ok()) return {};
+  return codec->DecodeAll(
+      FindMupsPatternBreakerPacked(oracle, schema, *codec, options, stats));
 }
 
 }  // namespace coverage

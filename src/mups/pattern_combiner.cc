@@ -6,7 +6,6 @@
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "pattern/packed_set.h"
 #include "pattern/pattern_ops.h"
@@ -35,13 +34,21 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
   Arena* cur_arena = &map_arenas[0];
   Arena* next_arena = &map_arenas[1];
 
-  // Level-d pass: identical sharding and enumeration order to the legacy
-  // implementation (see legacy_mups.cc); only the key representation differs,
-  // and the map contents are order-independent.
+  // Level-d pass: the coverage of a full combination is its multiplicity in
+  // the aggregated relation (0 for absent combinations, which are uncovered
+  // and must participate). The pass is embarrassingly parallel — each
+  // combination is probed independently — so with num_threads > 1 the
+  // combination space is sharded into blocks that fix a prefix of the
+  // attributes, one worker enumerating each block's suffix, and the
+  // per-block uncovered lists are merged in block order. The map contents
+  // (and therefore the final sorted MUP set and every stat) are identical
+  // to the serial pass for any worker count.
   std::uint64_t nodes_generated = 0;
   std::uint64_t level_d_queries = 0;
   PackedPatternMap<std::uint64_t> count(cur_arena);
   const int num_workers = options.num_threads > 1 ? options.num_threads : 1;
+  // Enough blocks to balance dynamically, but no finer than one attribute's
+  // worth of prefix values per step.
   std::uint64_t num_blocks = 1;
   int prefix_len = 0;
   while (prefix_len < d &&
@@ -166,19 +173,11 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
 StatusOr<std::vector<Pattern>> FindMupsPatternCombiner(
     const BitmapCoverage& oracle, const MupSearchOptions& options,
     MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(oracle.data().schema());
-    if (codec.ok()) {
-      auto packed =
-          FindMupsPatternCombinerPacked(oracle, *codec, options, stats);
-      COVERAGE_RETURN_IF_ERROR(packed.status());
-      std::vector<Pattern> mups;
-      mups.reserve(packed->size());
-      for (const PackedPattern& p : *packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsPatternCombiner(oracle, options, stats);
+  auto codec = PatternCodec::Build(oracle.data().schema());
+  COVERAGE_RETURN_IF_ERROR(codec.status());
+  auto packed = FindMupsPatternCombinerPacked(oracle, *codec, options, stats);
+  COVERAGE_RETURN_IF_ERROR(packed.status());
+  return codec->DecodeAll(*packed);
 }
 
 }  // namespace coverage

@@ -28,11 +28,12 @@ StatusOr<PatternCodec> PatternCodec::Build(const Schema& schema) {
       shift = 0;
     }
     if (word >= PackedPattern::kMaxWords) {
-      return Status::ResourceExhausted(
+      return Status::InvalidArgument(
           "schema needs " + std::to_string(total_bits) +
           "+ packed bits across " + std::to_string(d) +
-          " attributes; PackedPattern holds " +
-          std::to_string(PackedPattern::kMaxWords * 64));
+          " attributes, over the " +
+          std::to_string(PackedPattern::kMaxWords * 64) +
+          "-bit packed pattern limit");
     }
     Field f;
     f.word = static_cast<std::uint8_t>(word);
@@ -100,6 +101,14 @@ Pattern PatternCodec::Decode(const PackedPattern& packed) const {
     cells[static_cast<std::size_t>(attr)] = cell(packed, attr);
   }
   return Pattern(std::move(cells));
+}
+
+std::vector<Pattern> PatternCodec::DecodeAll(
+    std::span<const PackedPattern> packed) const {
+  std::vector<Pattern> out;
+  out.reserve(packed.size());
+  for (const PackedPattern& p : packed) out.push_back(Decode(p));
+  return out;
 }
 
 int PatternCodec::RightmostDeterministic(const PackedPattern& p) const {

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,7 @@ class PackedPattern {
  public:
   /// 256 bits of value payload: covers e.g. 36 attributes of cardinality 30
   /// (the paper's 3^36 regime packs into 72 bits). Schemas that need more
-  /// fall back to the legacy vector<int> representation.
+  /// are refused (PatternCodec::Build).
   static constexpr int kMaxWords = 4;
 
   PackedPattern() = default;
@@ -98,9 +99,10 @@ struct PackedPatternHash {
 
 /// Bit layout for one schema: where each attribute's field lives and how to
 /// move patterns between the packed and vector<int> representations. Built
-/// once per schema (Build fails with kResourceExhausted when the schema
-/// exceeds PackedPattern::kMaxWords * 64 bits; callers fall back to the
-/// legacy representation). Fields never straddle a word boundary, so a field
+/// once per schema. Build fails with kInvalidArgument when the schema
+/// exceeds PackedPattern::kMaxWords * 64 = 256 bits; every MUP search and
+/// engine epoch runs on packed patterns, so such a schema is refused at the
+/// API boundary. Fields never straddle a word boundary, so a field
 /// that does not fit in the current word's remaining bits starts the next
 /// word — this is what puts the 33rd binary attribute (2-bit fields) into
 /// word 1 and keeps every field extractable with one shift+mask.
@@ -122,8 +124,11 @@ class PatternCodec {
   /// Packs a fully deterministic value combination.
   PackedPattern EncodeTuple(std::span<const Value> tuple) const;
 
-  /// Unpacks to the legacy representation.
+  /// Unpacks to the materialized Pattern form.
   Pattern Decode(const PackedPattern& packed) const;
+
+  /// Decode over a whole list, order preserved.
+  std::vector<Pattern> DecodeAll(std::span<const PackedPattern> packed) const;
 
   /// Cell accessors, O(1).
   Value cell(const PackedPattern& p, int attr) const {
@@ -203,7 +208,7 @@ class PatternCodec {
 
   /// Cell-wise lexicographic comparison matching Pattern::operator<
   /// (wildcard sorts first), so packed result sets sort into the same order
-  /// the legacy representation reports.
+  /// as materialized ones.
   bool Less(const PackedPattern& a, const PackedPattern& b) const;
 
  private:

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "pattern/packed_pattern.h"
 #include "persist/codec.h"
 #include "persist/snapshot.h"
 
@@ -60,6 +61,7 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Create(
     const std::string& dir, const Schema& schema, EngineOptions engine_opts,
     DurableEngineOptions opts) {
   COVERAGE_RETURN_IF_ERROR(opts.Validate());
+  COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(schema).status());
   FileSystem* fs = opts.fs != nullptr ? opts.fs : FileSystem::Default();
   COVERAGE_RETURN_IF_ERROR(fs->CreateDirs(dir));
   auto listing = ListSessionDir(fs, dir);
@@ -99,6 +101,10 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Recover(
     const std::string path = dir + "/" + SnapshotFileName(*it);
     auto image = ReadSnapshotFile(fs, path);
     if (image.ok()) {
+      // Every generation shares the session's schema, so one too wide to
+      // pack (written before maintenance became packed-only) ends recovery
+      // instead of being discarded like a corrupt file.
+      COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(image->schema).status());
       image->options.num_threads =
           runtime.num_threads >= 1 ? runtime.num_threads : 1;
       image->options.durability = runtime.durability;
@@ -148,6 +154,7 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Recover(
         EngineOptions stored_options;
         COVERAGE_RETURN_IF_ERROR(
             DecodeHeaderBody(record.body, &stored_schema, &stored_options));
+        COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(stored_schema).status());
         if (engine == nullptr) {
           stored_options.num_threads =
               runtime.num_threads >= 1 ? runtime.num_threads : 1;

@@ -23,7 +23,6 @@ constexpr std::uint8_t kVersion = 1;
 constexpr std::uint8_t kMsgAudit = 1;
 constexpr std::uint8_t kMsgQueryBatch = 2;
 constexpr std::uint8_t kMupsSparseCells = 1;
-constexpr std::uint8_t kMupsPatternStrings = 2;
 constexpr std::size_t kHeaderBytes = 4 + 1 + 1 + 4;
 
 void PutStats(const MupSearchStats& stats, ByteWriter* out) {
@@ -112,29 +111,34 @@ std::string EncodeAuditResultBinary(const AuditResult& result) {
   payload.PutString(result.planner_rationale);
   PutStats(result.stats, &payload);
   payload.PutU64(result.tau);
+  // Sparse-cell form: only the deterministic cells travel. MUPs live at
+  // low levels by construction (the search stops at the first uncovered
+  // ancestor), so this beats both the raw 256-bit words and the JSON
+  // object by a wide margin. Either representation encodes to the same
+  // bytes.
+  payload.PutU8(kMupsSparseCells);
+  const auto put_cell = [&](int attr, Value v) {
+    payload.PutU16(static_cast<std::uint16_t>(attr));
+    payload.PutU16(static_cast<std::uint16_t>(v));
+  };
   if (result.packed.has_value()) {
-    // Sparse-cell form: only the deterministic cells travel. MUPs live at
-    // low levels by construction (the search stops at the first uncovered
-    // ancestor), so this beats both the raw 256-bit words and the JSON
-    // object by a wide margin.
     const PatternCodec& codec = result.packed->codec;
-    const int num_attrs = codec.num_attributes();
-    payload.PutU8(kMupsSparseCells);
     payload.PutU64(result.packed->mups.size());
     for (const PackedPattern& p : result.packed->mups) {
       payload.PutU16(static_cast<std::uint16_t>(p.level()));
-      for (int attr = 0; attr < num_attrs; ++attr) {
-        if (!codec.is_deterministic(p, attr)) continue;
-        payload.PutU16(static_cast<std::uint16_t>(attr));
-        payload.PutU16(static_cast<std::uint16_t>(codec.cell(p, attr)));
+      for (int attr = 0; attr < codec.num_attributes(); ++attr) {
+        if (codec.is_deterministic(p, attr)) {
+          put_cell(attr, codec.cell(p, attr));
+        }
       }
     }
   } else {
-    payload.PutU8(kMupsPatternStrings);
     payload.PutU64(result.mups.size());
     for (const Pattern& p : result.mups) {
-      payload.PutString(p.ToString());
       payload.PutU16(static_cast<std::uint16_t>(p.level()));
+      for (int attr = 0; attr < p.num_attributes(); ++attr) {
+        if (p.is_deterministic(attr)) put_cell(attr, p.cell(attr));
+      }
     }
   }
   return FrameBinaryMessage(kMsgAudit, payload.Take());
@@ -158,61 +162,45 @@ StatusOr<AuditResult> DecodeAuditResultBinary(std::string_view bytes,
 
   std::uint8_t kind = 0;
   COVERAGE_RETURN_IF_ERROR(in.GetU8(&kind));
-  std::uint64_t count = 0;
-  COVERAGE_RETURN_IF_ERROR(in.GetU64(&count));
-  if (kind == kMupsSparseCells) {
-    // 2 bytes of level prefix per MUP at minimum.
-    COVERAGE_RETURN_IF_ERROR(in.Need(static_cast<std::size_t>(count) * 2));
-    StatusOr<PatternCodec> codec = PatternCodec::Build(schema);
-    COVERAGE_RETURN_IF_ERROR(codec.status());
-    PackedMupSet packed;
-    packed.codec = *codec;
-    packed.mups.reserve(static_cast<std::size_t>(count));
-    const PackedPattern root = packed.codec.Root();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint16_t level = 0;
-      COVERAGE_RETURN_IF_ERROR(in.GetU16(&level));
-      PackedPattern p = root;
-      for (std::uint16_t c = 0; c < level; ++c) {
-        std::uint16_t attr = 0;
-        std::uint16_t value = 0;
-        COVERAGE_RETURN_IF_ERROR(in.GetU16(&attr));
-        COVERAGE_RETURN_IF_ERROR(in.GetU16(&value));
-        if (attr >= static_cast<std::uint16_t>(schema.num_attributes())) {
-          return Status::InvalidArgument("mup cell attribute out of range");
-        }
-        if (value >= static_cast<std::uint16_t>(schema.cardinality(attr))) {
-          return Status::InvalidArgument("mup cell value out of range");
-        }
-        p = packed.codec.WithCell(p, attr, static_cast<Value>(value));
-      }
-      // A repeated attribute would overwrite a cell and leave the level
-      // short — reject rather than silently reshape the pattern.
-      if (p.level() != static_cast<int>(level)) {
-        return Status::InvalidArgument("mup cells inconsistent with level");
-      }
-      packed.mups.push_back(p);
-    }
-    result.packed = std::move(packed);
-  } else if (kind == kMupsPatternStrings) {
-    COVERAGE_RETURN_IF_ERROR(in.Need(static_cast<std::size_t>(count) * 10));
-    result.mups.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string text;
-      COVERAGE_RETURN_IF_ERROR(in.GetString(&text));
-      StatusOr<Pattern> pattern = Pattern::Parse(text, schema);
-      COVERAGE_RETURN_IF_ERROR(pattern.status());
-      std::uint16_t level = 0;
-      COVERAGE_RETURN_IF_ERROR(in.GetU16(&level));
-      if (pattern->level() != static_cast<int>(level)) {
-        return Status::InvalidArgument("mup level disagrees with pattern");
-      }
-      result.mups.push_back(std::move(*pattern));
-    }
-  } else {
+  if (kind != kMupsSparseCells) {
     return Status::InvalidArgument("unknown mup encoding kind " +
                                    std::to_string(kind));
   }
+  std::uint64_t count = 0;
+  COVERAGE_RETURN_IF_ERROR(in.GetU64(&count));
+  // 2 bytes of level prefix per MUP at minimum.
+  COVERAGE_RETURN_IF_ERROR(in.Need(static_cast<std::size_t>(count) * 2));
+  StatusOr<PatternCodec> codec = PatternCodec::Build(schema);
+  COVERAGE_RETURN_IF_ERROR(codec.status());
+  PackedMupSet packed;
+  packed.codec = *codec;
+  packed.mups.reserve(static_cast<std::size_t>(count));
+  const PackedPattern root = packed.codec.Root();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint16_t level = 0;
+    COVERAGE_RETURN_IF_ERROR(in.GetU16(&level));
+    PackedPattern p = root;
+    for (std::uint16_t c = 0; c < level; ++c) {
+      std::uint16_t attr = 0;
+      std::uint16_t value = 0;
+      COVERAGE_RETURN_IF_ERROR(in.GetU16(&attr));
+      COVERAGE_RETURN_IF_ERROR(in.GetU16(&value));
+      if (attr >= static_cast<std::uint16_t>(schema.num_attributes())) {
+        return Status::InvalidArgument("mup cell attribute out of range");
+      }
+      if (value >= static_cast<std::uint16_t>(schema.cardinality(attr))) {
+        return Status::InvalidArgument("mup cell value out of range");
+      }
+      p = packed.codec.WithCell(p, attr, static_cast<Value>(value));
+    }
+    // A repeated attribute would overwrite a cell and leave the level
+    // short — reject rather than silently reshape the pattern.
+    if (p.level() != static_cast<int>(level)) {
+      return Status::InvalidArgument("mup cells inconsistent with level");
+    }
+    packed.mups.push_back(p);
+  }
+  result.packed = std::move(packed);
   COVERAGE_RETURN_IF_ERROR(in.ExpectDone());
   return result;
 }

@@ -40,14 +40,15 @@ namespace wire {
 ///   u64    num_mups           │
 ///   u64    seconds            ┘ IEEE-754 bits of the double
 ///   u64    tau
-///   u8     mup_kind           1 = sparse cells, 2 = pattern strings
+///   u8     mup_kind           1 = sparse cells (the only kind; any other
+///                             value, including the retired 2 = pattern
+///                             strings, is rejected)
 ///   u64    mup_count
-///   per MUP, kind 1:  u16 level, then level x (u16 attr, u16 value) —
-///     only the deterministic cells travel; the decoder rebuilds the packed
-///     pattern from the schema's codec (Root + WithCell). A level-3 MUP
-///     costs 14 bytes against ~100 for its JSON object.
-///   per MUP, kind 2:  string pattern ("X1X0"), u16 level — the fallback
-///     for schemas too wide for PatternCodec (the legacy representation).
+///   per MUP:  u16 level, then level x (u16 attr, u16 value) — only the
+///     deterministic cells travel, written from either the packed or the
+///     materialized MUP list; the decoder rebuilds the packed pattern from
+///     the schema's codec (Root + WithCell) and returns `packed` only. A
+///     level-3 MUP costs 14 bytes against ~100 for its JSON object.
 ///
 /// Query batch payload (msg_type 2):
 ///

@@ -25,6 +25,12 @@ Status CheckThreads(int num_threads) {
   return Status::OK();
 }
 
+/// Every search and engine epoch runs on PackedPattern; a schema wider than
+/// its 256 bits is refused here, at ingestion.
+Status CheckPackable(const Schema& schema) {
+  return PatternCodec::Build(schema).status();
+}
+
 Status CheckTau(std::uint64_t tau) {
   if (tau == 0) {
     return Status::InvalidArgument(
@@ -213,6 +219,7 @@ CoverageService::CoverageService(std::unique_ptr<AggregatedData> agg,
 StatusOr<CoverageService> CoverageService::FromDataset(
     const Dataset& data, ServiceOptions options) {
   COVERAGE_RETURN_IF_ERROR(options.Validate());
+  COVERAGE_RETURN_IF_ERROR(CheckPackable(data.schema()));
   return CoverageService(std::make_unique<AggregatedData>(data), options);
 }
 
@@ -222,6 +229,7 @@ StatusOr<CoverageService> CoverageService::FromCsv(std::istream& is,
   std::vector<Value> encoded;
   auto schema = InferSchemaFromCsv(is, options.max_cardinality, &encoded);
   if (!schema.ok()) return schema.status();
+  COVERAGE_RETURN_IF_ERROR(CheckPackable(*schema));
   auto agg = std::make_unique<AggregatedData>(*schema);
   const auto d = static_cast<std::size_t>(schema->num_attributes());
   if (d > 0) {
@@ -241,6 +249,7 @@ StatusOr<CoverageService> CoverageService::FromCsvFile(
   }
   auto schema = InferSchemaFromCsv(schema_pass, options.max_cardinality);
   if (!schema.ok()) return schema.status();
+  COVERAGE_RETURN_IF_ERROR(CheckPackable(*schema));
 
   std::ifstream ingest_pass(path);
   if (!ingest_pass.good()) {
@@ -275,6 +284,7 @@ StatusOr<CoverageService> CoverageService::FromSpec(const DatagenSpec& spec,
   } else {
     data = datagen::MakeDiagonal(spec.d);
   }
+  COVERAGE_RETURN_IF_ERROR(CheckPackable(data.schema()));
   return CoverageService(std::make_unique<AggregatedData>(data), options);
 }
 
@@ -326,25 +336,14 @@ StatusOr<AuditResult> CoverageService::Audit(const AuditRequest& request,
       }
     }
   }
-  if (PatternCodec::Build(schema()).ok()) {
-    auto packed = [&] {
-      obs::ScopedStage stage(trace, "search");
-      return FindMupsPacked(algorithm, *oracle_, search, &result.stats);
-    }();
-    if (!packed.ok()) return packed.status();
-    result.packed = std::move(*packed);
-    if (request.materialize_patterns) {
-      result.mups = result.packed->Materialize();
-    }
-  } else {
-    // Schema too wide for the packed representation: legacy search, always
-    // materialized.
-    auto mups = [&] {
-      obs::ScopedStage stage(trace, "search");
-      return FindMups(algorithm, *oracle_, search, &result.stats);
-    }();
-    if (!mups.ok()) return mups.status();
-    result.mups = std::move(*mups);
+  auto packed = [&] {
+    obs::ScopedStage stage(trace, "search");
+    return FindMupsPacked(algorithm, *oracle_, search, &result.stats);
+  }();
+  if (!packed.ok()) return packed.status();
+  result.packed = std::move(*packed);
+  if (request.materialize_patterns) {
+    result.mups = result.packed->Materialize();
   }
   result.algorithm = ToString(algorithm);
   result.max_level = search.max_level;
@@ -453,6 +452,7 @@ StatusOr<CoverageService::Session> CoverageService::OpenSession(
     return Status::InvalidArgument(
         "a session needs a schema with at least one attribute");
   }
+  COVERAGE_RETURN_IF_ERROR(CheckPackable(schema));
   return Session(schema, options);
 }
 

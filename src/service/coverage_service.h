@@ -131,9 +131,10 @@ struct AuditResult {
   /// materialize_patterns = false and `packed` carries the set instead.
   std::vector<Pattern> mups;
 
-  /// The same MUP set in packed form (plus its codec), present whenever the
-  /// search ran on the packed representation. The wire encoder renders
-  /// pattern strings straight from this, byte-identical to the legacy path.
+  /// The same MUP set in packed form (plus its codec). Service audits and
+  /// wire-v2 decodes fill it; Session::Audit and the coordinator fill only
+  /// `mups`. The wire encoder renders pattern strings straight from this,
+  /// byte-identical to the materialized path.
   std::optional<PackedMupSet> packed;
 
   MupSearchStats stats;

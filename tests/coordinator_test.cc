@@ -161,9 +161,13 @@ TEST_F(ClusterCoordinatorTest, AuditNegotiatesBinary) {
   reference_request.tau = 12;
   auto expected = reference_->Audit(reference_request);
   ASSERT_TRUE(expected.ok());
-  ASSERT_EQ(decoded->mups.size(), expected->mups.size());
-  for (std::size_t i = 0; i < decoded->mups.size(); ++i) {
-    EXPECT_EQ(decoded->mups[i].ToString(), expected->mups[i].ToString());
+  // Wire v2 carries MUPs as sparse cells only; the decoder returns them
+  // packed.
+  ASSERT_TRUE(decoded->packed.has_value());
+  const std::vector<Pattern> mups = decoded->packed->Materialize();
+  ASSERT_EQ(mups.size(), expected->mups.size());
+  for (std::size_t i = 0; i < mups.size(); ++i) {
+    EXPECT_EQ(mups[i].ToString(), expected->mups[i].ToString());
   }
   EXPECT_EQ(decoded->num_rows, full_.num_rows());
 }

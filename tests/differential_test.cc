@@ -1,20 +1,31 @@
-// Differential proof of the packed-pattern refactor: for every algorithm,
-// every DEEPDIVER dominance mode, and serial + parallel execution, the
-// packed implementation must be bit-identical to the legacy vector<int> one
-// — same MUP sets, same per-algorithm query counts, and same audit wire
-// bytes. The legacy implementations survive in
-// src/mups/legacy_mups.cc exactly so this suite can shadow-run them
-// (MupSearchOptions::use_packed_representation picks the side).
+// Differential check of the packed MUP searches against the paper's
+// by-definition reference. FindMupsNaive (§III-A) enumerates the pattern
+// graph, counts every pattern and keeps the maximal uncovered ones; every
+// search — PATTERN-BREAKER serial and with workers, DEEPDIVER in each
+// dominance mode, PATTERN-COMBINER, APRIORI — the service audit and the
+// incremental engine at every append and retract epoch must return exactly
+// that set. The searches' work counters (coverage queries, nodes generated
+// and pruned) and a digest of each MUP set are pinned in
+// tests/golden/search_counts_v1.json. Regenerate it only after an
+// intentional change to a search's traversal order or pruning:
+//
+//     COVERAGE_UPDATE_GOLDEN=1 ./build/differential_test
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "coverage/bitmap_coverage.h"
 #include "engine/coverage_engine.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "server/json.h"
 #include "server/wire.h"
@@ -31,24 +42,22 @@ struct DiffCase {
   std::uint64_t tau;
   std::uint64_t seed;
   double skew;
-  DominanceMode mode;
+  /// Workers of PATTERN-COMBINER, the service audit and the engine;
+  /// PATTERN-BREAKER runs at 1, 2 and 4 workers on every case.
   int num_threads;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<DiffCase>& info) {
+std::string CaseName(const DiffCase& c) {
   std::string name = "c";
-  for (int c : info.param.cardinalities) name += std::to_string(c);
-  name += "_n" + std::to_string(info.param.num_rows);
-  name += "_tau" + std::to_string(info.param.tau);
-  name += "_s" + std::to_string(info.param.seed);
-  switch (info.param.mode) {
-    case DominanceMode::kBitmapIndex: name += "_bitmap"; break;
-    case DominanceMode::kLinearScan: name += "_linear"; break;
-    case DominanceMode::kNoPruning: name += "_none"; break;
-  }
-  name += "_t" + std::to_string(info.param.num_threads);
+  for (int card : c.cardinalities) name += std::to_string(card);
+  name += "_n" + std::to_string(c.num_rows);
+  name += "_tau" + std::to_string(c.tau);
+  name += "_s" + std::to_string(c.seed);
+  name += "_t" + std::to_string(c.num_threads);
   return name;
 }
+
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << CaseName(c); }
 
 Dataset GenerateSkewed(const std::vector<int>& cardinalities,
                        std::size_t num_rows, std::uint64_t seed, double skew) {
@@ -68,132 +77,208 @@ Dataset GenerateSkewed(const std::vector<int>& cardinalities,
   return data;
 }
 
-class PackedLegacyDifferential : public ::testing::TestWithParam<DiffCase> {};
+/// A dataset with its aggregated relation and oracle; not movable, since
+/// the oracle references the relation.
+struct Instance {
+  Instance(const std::vector<int>& cardinalities, std::size_t num_rows,
+           std::uint64_t seed, double skew)
+      : data(GenerateSkewed(cardinalities, num_rows, seed, skew)),
+        agg(data),
+        oracle(agg) {}
+  explicit Instance(const DiffCase& c)
+      : Instance(c.cardinalities, c.num_rows, c.seed, c.skew) {}
+  Instance(const Instance&) = delete;
+  Instance& operator=(const Instance&) = delete;
 
-TEST_P(PackedLegacyDifferential, PatternBreakerBitIdentical) {
-  const DiffCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, c.num_rows, c.seed,
-                                      c.skew);
-  const AggregatedData agg(data);
-  const BitmapCoverage oracle(agg);
-  MupSearchOptions options{.tau = c.tau};
-  options.dominance_mode = c.mode;
-  options.num_threads = c.num_threads;
+  Dataset data;
+  AggregatedData agg;
+  BitmapCoverage oracle;
+};
 
-  MupSearchStats legacy_stats, packed_stats;
-  options.use_packed_representation = false;
-  const auto legacy = FindMupsPatternBreaker(oracle, options, &legacy_stats);
-  options.use_packed_representation = true;
-  const auto packed = FindMupsPatternBreaker(oracle, options, &packed_stats);
-
-  EXPECT_EQ(legacy, packed);
-  // The breaker's merge is queue-ordered and deterministic even in
-  // parallel, so query counts must agree exactly.
-  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
-  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
-  EXPECT_EQ(legacy_stats.num_mups, packed_stats.num_mups);
+/// The reference MUP set: Problem 1 solved by definition.
+std::vector<Pattern> Naive(const BitmapCoverage& oracle, std::uint64_t tau) {
+  auto mups = FindMupsNaive(oracle, oracle.data().schema(),
+                            MupSearchOptions{.tau = tau});
+  EXPECT_TRUE(mups.ok()) << mups.status().ToString();
+  return mups.ok() ? *mups : std::vector<Pattern>{};
 }
 
-TEST_P(PackedLegacyDifferential, DeepDiverBitIdentical) {
-  const DiffCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, c.num_rows, c.seed,
-                                      c.skew);
-  const AggregatedData agg(data);
-  const BitmapCoverage oracle(agg);
-  MupSearchOptions options{.tau = c.tau};
-  options.dominance_mode = c.mode;
-  options.num_threads = c.num_threads;
+// ------------------------------------------------------------- golden ----
 
-  MupSearchStats legacy_stats, packed_stats;
-  options.use_packed_representation = false;
-  const auto legacy = FindMupsDeepDiver(oracle, options, &legacy_stats);
-  options.use_packed_representation = true;
-  const auto packed = FindMupsDeepDiver(oracle, options, &packed_stats);
-
-  EXPECT_EQ(legacy, packed);
-  // DEEPDIVER is serial whatever num_threads says, so its dive order — and
-  // with it every counter — is deterministic at any worker count.
-  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
-  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
-  EXPECT_EQ(legacy_stats.nodes_pruned, packed_stats.nodes_pruned);
-  EXPECT_EQ(legacy_stats.num_mups, packed_stats.num_mups);
+std::string GoldenPath() {
+  return std::string(COVERAGE_REPO_DIR) +
+         "/tests/golden/search_counts_v1.json";
 }
 
-TEST_P(PackedLegacyDifferential, CombinerAndAprioriBitIdentical) {
-  const DiffCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, c.num_rows, c.seed,
-                                      c.skew);
-  const AggregatedData agg(data);
-  const BitmapCoverage oracle(agg);
-  MupSearchOptions options{.tau = c.tau};
-  options.num_threads = c.num_threads;
-
-  MupSearchStats legacy_stats, packed_stats;
-  options.use_packed_representation = false;
-  auto legacy = FindMupsPatternCombiner(oracle, options, &legacy_stats);
-  options.use_packed_representation = true;
-  auto packed = FindMupsPatternCombiner(oracle, options, &packed_stats);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(*legacy, *packed);
-  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
-  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
-
-  options.use_packed_representation = false;
-  auto legacy_ap = FindMupsApriori(oracle, options, &legacy_stats);
-  options.use_packed_representation = true;
-  auto packed_ap = FindMupsApriori(oracle, options, &packed_stats);
-  ASSERT_TRUE(legacy_ap.ok());
-  ASSERT_TRUE(packed_ap.ok());
-  EXPECT_EQ(*legacy_ap, *packed_ap);
-  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
-  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
+/// FNV-1a over the sorted MUP strings, newline-terminated.
+std::string MupDigest(const std::vector<Pattern>& mups) {
+  std::vector<std::string> strings;
+  strings.reserve(mups.size());
+  for (const Pattern& p : mups) strings.push_back(p.ToString());
+  std::sort(strings.begin(), strings.end());
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&](unsigned char byte) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  };
+  for (const std::string& s : strings) {
+    for (const char ch : s) mix(static_cast<unsigned char>(ch));
+    mix('\n');
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
 }
 
-TEST_P(PackedLegacyDifferential, DirectLegacyEntryPointsAgree) {
-  // Call the relocated legacy implementations directly (not through the
-  // dispatch flag) and the packed cores directly: same sets.
-  const DiffCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, c.num_rows, c.seed,
-                                      c.skew);
-  const AggregatedData agg(data);
-  const BitmapCoverage oracle(agg);
-  const Schema& schema = data.schema();
-  MupSearchOptions options{.tau = c.tau};
-  options.dominance_mode = c.mode;
-  options.num_threads = c.num_threads;
-
-  auto codec = PatternCodec::Build(schema);
-  ASSERT_TRUE(codec.ok());
-
-  const auto legacy = legacy::FindMupsPatternBreaker(oracle, schema, options,
-                                                     nullptr);
-  const auto packed =
-      FindMupsPatternBreakerPacked(oracle, schema, *codec, options, nullptr);
-  std::vector<Pattern> decoded;
-  decoded.reserve(packed.size());
-  for (const PackedPattern& p : packed) decoded.push_back(codec->Decode(p));
-  EXPECT_EQ(legacy, decoded);
+json::JsonValue::Object& GoldenEntries() {
+  static json::JsonValue::Object entries = [] {
+    std::ifstream in(GoldenPath());
+    if (!in.good()) return json::JsonValue::Object{};
+    std::stringstream text;
+    text << in.rdbuf();
+    auto parsed = json::Parse(text.str());
+    if (!parsed.ok() || !parsed->is_object()) {
+      return json::JsonValue::Object{};
+    }
+    return parsed->AsObject();
+  }();
+  return entries;
 }
 
-TEST_P(PackedLegacyDifferential, AuditWireBytesBitIdentical) {
-  // The full service path: a materialized legacy-encoded response and a
-  // packed-encoded (materialize_patterns = false) response must serialize
-  // to the same bytes.
+/// Compares one search's counters and MUP digest with the golden entry
+/// `instance`.`algorithm`, or records them when COVERAGE_UPDATE_GOLDEN is
+/// set (the file is rewritten after every recorded entry).
+void ExpectGolden(const std::string& instance, const std::string& algorithm,
+                  const MupSearchStats& stats,
+                  const std::vector<Pattern>& mups) {
+  json::JsonValue::Object actual;
+  actual["coverage_queries"] = stats.coverage_queries;
+  actual["nodes_generated"] = stats.nodes_generated;
+  actual["nodes_pruned"] = stats.nodes_pruned;
+  actual["num_mups"] = static_cast<std::uint64_t>(stats.num_mups);
+  actual["mups_digest"] = MupDigest(mups);
+
+  json::JsonValue::Object& golden = GoldenEntries();
+  if (std::getenv("COVERAGE_UPDATE_GOLDEN") != nullptr) {
+    if (!golden[instance].is_object()) {
+      golden[instance] = json::JsonValue::Object{};
+    }
+    golden[instance].AsObject()[algorithm] = actual;
+    std::ofstream out(GoldenPath());
+    out << json::SerializePretty(json::JsonValue(golden));
+    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+    return;
+  }
+  const auto it = golden.find(instance);
+  ASSERT_NE(it, golden.end())
+      << "golden lacks instance " << instance
+      << " (regenerate per tests/golden/README.md)";
+  const json::JsonValue* want = it->second.Find(algorithm);
+  ASSERT_NE(want, nullptr) << instance << " lacks " << algorithm;
+  for (const auto& [key, value] : actual) {
+    const json::JsonValue* field = want->Find(key);
+    ASSERT_NE(field, nullptr) << instance << "." << algorithm << " lacks "
+                              << key;
+    EXPECT_EQ(json::Serialize(value), json::Serialize(*field))
+        << instance << "." << algorithm << "." << key
+        << " drifted from the golden";
+  }
+}
+
+// -------------------------------------------------------------- sweep ----
+
+class SearchesMatchNaive : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(SearchesMatchNaive, PatternBreaker) {
   const DiffCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, c.num_rows, c.seed,
-                                      c.skew);
+  const Instance in(c);
+  const std::vector<Pattern> reference = Naive(in.oracle, c.tau);
+
+  MupSearchStats serial;
+  for (const int workers : {1, 2, 4}) {
+    MupSearchOptions options{.tau = c.tau};
+    options.num_threads = workers;
+    MupSearchStats stats;
+    EXPECT_EQ(FindMupsPatternBreaker(in.oracle, options, &stats), reference)
+        << workers << " workers";
+    if (workers == 1) {
+      serial = stats;
+      continue;
+    }
+    // The level merge is queue-ordered, so the counters do not depend on
+    // the worker count.
+    EXPECT_EQ(stats.coverage_queries, serial.coverage_queries);
+    EXPECT_EQ(stats.nodes_generated, serial.nodes_generated);
+    EXPECT_EQ(stats.num_mups, serial.num_mups);
+  }
+  ExpectGolden(CaseName(c), "pattern_breaker", serial, reference);
+}
+
+TEST_P(SearchesMatchNaive, DeepDiverEveryDominanceMode) {
+  const DiffCase& c = GetParam();
+  const Instance in(c);
+  const std::vector<Pattern> reference = Naive(in.oracle, c.tau);
+
+  const std::pair<DominanceMode, const char*> modes[] = {
+      {DominanceMode::kBitmapIndex, "deep_diver_bitmap"},
+      {DominanceMode::kLinearScan, "deep_diver_linear"},
+      {DominanceMode::kNoPruning, "deep_diver_none"},
+  };
+  for (const auto& [mode, key] : modes) {
+    MupSearchOptions options{.tau = c.tau};
+    options.dominance_mode = mode;
+    options.num_threads = c.num_threads;  // ignored: DEEPDIVER is serial
+    MupSearchStats stats;
+    EXPECT_EQ(FindMupsDeepDiver(in.oracle, options, &stats), reference)
+        << key;
+    ExpectGolden(CaseName(c), key, stats, reference);
+  }
+}
+
+TEST_P(SearchesMatchNaive, PatternCombiner) {
+  const DiffCase& c = GetParam();
+  const Instance in(c);
+  const std::vector<Pattern> reference = Naive(in.oracle, c.tau);
+  MupSearchOptions options{.tau = c.tau};
+  options.num_threads = c.num_threads;
+  MupSearchStats stats;
+  auto mups = FindMupsPatternCombiner(in.oracle, options, &stats);
+  ASSERT_TRUE(mups.ok()) << mups.status().ToString();
+  EXPECT_EQ(*mups, reference);
+  ExpectGolden(CaseName(c), "pattern_combiner", stats, reference);
+}
+
+TEST_P(SearchesMatchNaive, Apriori) {
+  const DiffCase& c = GetParam();
+  const Instance in(c);
+  const std::vector<Pattern> reference = Naive(in.oracle, c.tau);
+  MupSearchOptions options{.tau = c.tau};
+  options.num_threads = c.num_threads;
+  MupSearchStats stats;
+  auto mups = FindMupsApriori(in.oracle, options, &stats);
+  ASSERT_TRUE(mups.ok()) << mups.status().ToString();
+  EXPECT_EQ(*mups, reference);
+  ExpectGolden(CaseName(c), "apriori", stats, reference);
+}
+
+TEST_P(SearchesMatchNaive, ServiceAudit) {
+  // The full service path: the materialized and the packed-only
+  // (materialize_patterns = false) responses carry the reference set and
+  // serialize to the same JSON.
+  const DiffCase& c = GetParam();
+  const Instance in(c);
   ServiceOptions sopts;
   sopts.num_threads = c.num_threads;
-  auto service = CoverageService::FromDataset(data, sopts);
+  auto service = CoverageService::FromDataset(in.data, sopts);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   AuditRequest request;
   request.tau = c.tau;
-
   request.materialize_patterns = true;
   auto materialized = service->Audit(request);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_EQ(materialized->mups, Naive(in.oracle, c.tau));
   ASSERT_TRUE(materialized->packed.has_value());
   EXPECT_EQ(materialized->mups, materialized->packed->Materialize());
 
@@ -202,112 +287,99 @@ TEST_P(PackedLegacyDifferential, AuditWireBytesBitIdentical) {
   ASSERT_TRUE(packed_only.ok());
   EXPECT_TRUE(packed_only->mups.empty());
 
-  // Wall-clock is legitimately nondeterministic; everything else — the
-  // MUP set and the search counters — is deterministic at any worker count.
+  // Wall-clock is legitimately nondeterministic; the MUP set and the search
+  // counters are deterministic at any worker count.
   materialized->stats.seconds = 0.0;
   packed_only->stats.seconds = 0.0;
-
-  // Wire bytes from the packed encoder, both responses.
-  const std::string a =
-      json::Serialize(wire::ToJson(*materialized, service->schema()));
-  const std::string b =
-      json::Serialize(wire::ToJson(*packed_only, service->schema()));
-  EXPECT_EQ(a, b);
-
-  // And against the legacy encoder: strip the packed form so ToJson takes
-  // the Pattern path, byte-identical by construction.
-  AuditResult legacy_encoded = *materialized;
-  legacy_encoded.packed.reset();
-  const std::string l =
-      json::Serialize(wire::ToJson(legacy_encoded, service->schema()));
-  EXPECT_EQ(l, a);
+  EXPECT_EQ(json::Serialize(wire::ToJson(*materialized, service->schema())),
+            json::Serialize(wire::ToJson(*packed_only, service->schema())));
 }
 
-TEST_P(PackedLegacyDifferential, EngineMaintenanceBitIdentical) {
-  // Append + retract epochs through both engine representations: identical
-  // MUP sets and identical maintenance query counts at every epoch.
+TEST_P(SearchesMatchNaive, EngineEveryEpoch) {
+  // Append three batches, retract two of them, then re-append one (which
+  // revives tombstoned combinations). After every epoch the maintained MUP
+  // set must equal the reference over the live rows.
   const DiffCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, c.num_rows, c.seed,
-                                      c.skew);
-  EngineOptions lopts;
-  lopts.tau = c.tau;
-  lopts.num_threads = c.num_threads;
-  lopts.use_packed_representation = false;
-  EngineOptions popts = lopts;
-  popts.use_packed_representation = true;
+  const Dataset data =
+      GenerateSkewed(c.cardinalities, c.num_rows, c.seed, c.skew);
+  EngineOptions options;
+  options.tau = c.tau;
+  options.num_threads = c.num_threads;
+  CoverageEngine engine(data.schema(), options);
 
-  CoverageEngine legacy_engine(data.schema(), lopts);
-  CoverageEngine packed_engine(data.schema(), popts);
-
-  // Split the rows into three append batches, then retract the middle one.
   const std::size_t third = data.num_rows() / 3;
   std::vector<Dataset> batches;
-  for (int b = 0; b < 3; ++b) {
+  for (std::size_t b = 0; b < 3; ++b) {
     Dataset batch(data.schema());
-    const std::size_t begin = static_cast<std::size_t>(b) * third;
-    const std::size_t end =
-        b == 2 ? data.num_rows() : begin + third;
+    const std::size_t begin = b * third;
+    const std::size_t end = b == 2 ? data.num_rows() : begin + third;
     for (std::size_t r = begin; r < end; ++r) batch.AppendRow(data.row(r));
     batches.push_back(std::move(batch));
   }
-  for (const Dataset& batch : batches) {
-    EngineUpdateStats ls, ps;
-    ASSERT_TRUE(legacy_engine.AppendRows(batch, &ls).ok());
-    ASSERT_TRUE(packed_engine.AppendRows(batch, &ps).ok());
-    EXPECT_EQ(legacy_engine.Mups(), packed_engine.Mups());
-    EXPECT_EQ(ls.coverage_queries, ps.coverage_queries);
-    EXPECT_EQ(ls.mups_added, ps.mups_added);
-    EXPECT_EQ(ls.mups_newly_covered, ps.mups_newly_covered);
-  }
-  if (batches[1].num_rows() > 0) {
-    EngineUpdateStats ls, ps;
-    ASSERT_TRUE(legacy_engine.RetractRows(batches[1], &ls).ok());
-    ASSERT_TRUE(packed_engine.RetractRows(batches[1], &ps).ok());
-    EXPECT_EQ(legacy_engine.Mups(), packed_engine.Mups());
-    EXPECT_EQ(ls.coverage_queries, ps.coverage_queries);
-    EXPECT_EQ(ls.mups_demoted, ps.mups_demoted);
-    EXPECT_EQ(ls.mups_added, ps.mups_added);
-  }
+  std::vector<bool> live(batches.size(), false);
+  const auto expect_reference = [&](const std::string& epoch) {
+    Dataset rows(data.schema());
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      if (!live[b]) continue;
+      for (std::size_t r = 0; r < batches[b].num_rows(); ++r) {
+        rows.AppendRow(batches[b].row(r));
+      }
+    }
+    const AggregatedData agg(rows);
+    const BitmapCoverage oracle(agg);
+    EXPECT_EQ(engine.Mups(), Naive(oracle, c.tau)) << "after " << epoch;
+  };
+  const auto append = [&](std::size_t b) {
+    ASSERT_TRUE(engine.AppendRows(batches[b]).ok());
+    live[b] = true;
+    expect_reference("appending batch " + std::to_string(b));
+  };
+  const auto retract = [&](std::size_t b) {
+    ASSERT_TRUE(engine.RetractRows(batches[b]).ok());
+    live[b] = false;
+    expect_reference("retracting batch " + std::to_string(b));
+  };
+
+  expect_reference("construction");
+  append(0);
+  append(1);
+  append(2);
+  retract(1);
+  retract(0);
+  append(1);
 }
 
-// >= 12 random schema / dominance / thread configurations (the dominance
-// mode reaches DEEPDIVER only); word-boundary shapes are covered by packed_pattern_test.
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, PackedLegacyDifferential,
-    ::testing::Values(
-        DiffCase{{2, 2, 2}, 40, 3, 101, 0.4, DominanceMode::kBitmapIndex, 1},
-        DiffCase{{2, 2, 2, 2}, 80, 4, 102, 0.5, DominanceMode::kLinearScan,
-                 1},
-        DiffCase{{2, 2, 2, 2, 2}, 150, 5, 103, 0.6,
-                 DominanceMode::kNoPruning, 1},
-        DiffCase{{3, 2, 4}, 90, 4, 104, 0.5, DominanceMode::kBitmapIndex, 1},
-        DiffCase{{4, 3, 3, 2}, 160, 5, 105, 0.5, DominanceMode::kLinearScan,
-                 1},
-        DiffCase{{5, 2, 4}, 110, 6, 106, 0.6, DominanceMode::kBitmapIndex,
-                 1},
-        DiffCase{{1, 2, 3}, 40, 3, 107, 0.4, DominanceMode::kBitmapIndex, 1},
-        DiffCase{{2, 6, 2, 3}, 140, 4, 108, 0.4, DominanceMode::kNoPruning,
-                 1},
-        DiffCase{{3, 3}, 3, 10, 109, 0.2, DominanceMode::kBitmapIndex, 1},
-        DiffCase{{2, 3, 3}, 30, 1, 110, 0.7, DominanceMode::kLinearScan, 1},
-        // Parallel configurations (2 and 4 workers).
-        DiffCase{{2, 2, 2, 2}, 120, 4, 111, 0.5, DominanceMode::kBitmapIndex,
-                 2},
-        DiffCase{{3, 3, 3}, 90, 9, 112, 0.8, DominanceMode::kBitmapIndex, 2},
-        DiffCase{{2, 2, 2, 2, 2}, 200, 6, 113, 0.4,
-                 DominanceMode::kLinearScan, 4},
-        DiffCase{{4, 4}, 12, 1, 114, 0.6, DominanceMode::kBitmapIndex, 4}),
-    CaseName);
+    Sweep, SearchesMatchNaive,
+    ::testing::Values(DiffCase{{2, 2, 2}, 40, 3, 101, 0.4, 1},
+                      DiffCase{{2, 2, 2, 2}, 80, 4, 102, 0.5, 1},
+                      DiffCase{{2, 2, 2, 2, 2}, 150, 5, 103, 0.6, 1},
+                      DiffCase{{3, 2, 4}, 90, 4, 104, 0.5, 1},
+                      DiffCase{{4, 3, 3, 2}, 160, 5, 105, 0.5, 1},
+                      DiffCase{{5, 2, 4}, 110, 6, 106, 0.6, 1},
+                      DiffCase{{1, 2, 3}, 40, 3, 107, 0.4, 1},
+                      DiffCase{{2, 6, 2, 3}, 140, 4, 108, 0.4, 1},
+                      DiffCase{{3, 3}, 3, 10, 109, 0.2, 1},
+                      DiffCase{{2, 3, 3}, 30, 1, 110, 0.7, 1},
+                      // Parallel configurations (2 and 4 workers).
+                      DiffCase{{2, 2, 2, 2}, 120, 4, 111, 0.5, 2},
+                      DiffCase{{3, 3, 3}, 90, 9, 112, 0.8, 2},
+                      DiffCase{{2, 2, 2, 2, 2}, 200, 6, 113, 0.4, 4},
+                      DiffCase{{4, 4}, 12, 1, 114, 0.6, 4}),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+      return CaseName(info.param);
+    });
 
-// Both sides of the rank bound. The packed PATTERN-BREAKER remembers covered
-// nodes in a rank-indexed bitset while Π (cᵢ+1) <= kPlannerPatternGraphBudget
-// and in a packed-key hash set above it. 13 attributes of cardinality 3 give
-// Π = 4^13 = 2^26 exactly (bitset, at its largest); a cardinality-7 attribute
-// in place of one of them gives 4^12 · 8 = 2^27 (hash set, level-capped like
-// the planner's wide searches). Either way the search must match legacy
-// exactly, serial and with workers reading the shared covered set. Its own
-// fixture runs PATTERN-BREAKER only: the sweep's PATTERN-COMBINER case
-// would enumerate all 3^13 or more full combinations of these schemas.
+// --------------------------------------------------------- rank bound ----
+
+// Both sides of the rank bound. PATTERN-BREAKER remembers covered nodes in
+// a rank-indexed bitset while Π (cᵢ+1) <= kPlannerPatternGraphBudget and in
+// a packed-key hash set above it. 13 attributes of cardinality 3 give
+// Π = 4^13 = 2^26 exactly (bitset, at its largest); a cardinality-7
+// attribute in place of one of them gives 4^12 · 8 = 2^27 (hash set,
+// level-capped like the planner's wide searches). These graphs are too
+// large for the naive reference, so the result is validated against the
+// oracle directly (ValidateMupSet) and its counters pinned in the golden.
 struct RankBoundCase {
   std::vector<int> cardinalities;
   int max_level;
@@ -315,15 +387,18 @@ struct RankBoundCase {
   int num_threads;
 };
 
-class PackedLegacyRankBound : public ::testing::TestWithParam<RankBoundCase> {
-};
+std::string RankBoundName(const RankBoundCase& c) {
+  return std::string(c.rank_path ? "Bitset" : "Hash") + "_t" +
+         std::to_string(c.num_threads);
+}
 
-TEST_P(PackedLegacyRankBound, PatternBreakerBitIdentical) {
+class PatternBreakerRankBound
+    : public ::testing::TestWithParam<RankBoundCase> {};
+
+TEST_P(PatternBreakerRankBound, ValidAndPinned) {
   const RankBoundCase& c = GetParam();
-  const Dataset data = GenerateSkewed(c.cardinalities, 300, 121, 0.6);
-  const AggregatedData agg(data);
-  const BitmapCoverage oracle(agg);
-  const std::uint64_t num_patterns = agg.schema().NumPatterns();
+  const Instance in(c.cardinalities, 300, 121, 0.6);
+  const std::uint64_t num_patterns = in.agg.schema().NumPatterns();
   if (c.rank_path) {
     EXPECT_EQ(num_patterns, kPlannerPatternGraphBudget);
   } else {
@@ -333,23 +408,13 @@ TEST_P(PackedLegacyRankBound, PatternBreakerBitIdentical) {
   options.max_level = c.max_level;
   options.num_threads = c.num_threads;
 
-  MupSearchStats legacy_stats, packed_stats;
-  options.use_packed_representation = false;
-  const auto legacy = FindMupsPatternBreaker(oracle, options, &legacy_stats);
-  options.use_packed_representation = true;
-  const auto packed = FindMupsPatternBreaker(oracle, options, &packed_stats);
-
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(legacy, packed);
-  EXPECT_EQ(legacy_stats.coverage_queries, packed_stats.coverage_queries);
-  EXPECT_EQ(legacy_stats.nodes_generated, packed_stats.nodes_generated);
-  EXPECT_EQ(legacy_stats.num_mups, packed_stats.num_mups);
-}
-
-std::string RankBoundName(
-    const ::testing::TestParamInfo<RankBoundCase>& info) {
-  return std::string(info.param.rank_path ? "Bitset" : "Hash") + "_t" +
-         std::to_string(info.param.num_threads);
+  MupSearchStats stats;
+  const auto mups = FindMupsPatternBreaker(in.oracle, options, &stats);
+  ASSERT_FALSE(mups.empty());
+  const Status valid = ValidateMupSet(mups, in.oracle, options.tau);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  ExpectGolden("rank_bound_" + RankBoundName(c), "pattern_breaker", stats,
+               mups);
 }
 
 std::vector<int> RankBound26() { return std::vector<int>(13, 3); }
@@ -360,23 +425,32 @@ std::vector<int> RankBound27() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Bound, PackedLegacyRankBound,
+    Bound, PatternBreakerRankBound,
     ::testing::Values(RankBoundCase{RankBound26(), -1, true, 1},
                       RankBoundCase{RankBound26(), -1, true, 4},
                       RankBoundCase{RankBound27(), 3, false, 1},
                       RankBoundCase{RankBound27(), 3, false, 4}),
-    RankBoundName);
+    [](const ::testing::TestParamInfo<RankBoundCase>& info) {
+      return RankBoundName(info.param);
+    });
 
-TEST(PackedFallback, WideSchemaRoutesToLegacy) {
+// ------------------------------------------------------- wide schemas ----
+
+TEST(PackedCapacity, WideSchemaIsRejected) {
   // 50 binary attributes (2 packed bits each) plus 160 cardinality-1
   // attributes (1 bit each) need 260 bits > PackedPattern's 256-bit
   // capacity, while the combination space stays 2^50 — small enough for
-  // AggregatedData. The codec must refuse and the public entry points must
-  // still answer (via the legacy representation).
+  // AggregatedData. Every StatusOr entry point refuses the schema.
   std::vector<int> wide(50, 2);
   wide.insert(wide.end(), 160, 1);
   const Schema schema = Schema::Uniform(wide);
-  EXPECT_FALSE(PatternCodec::Build(schema).ok());
+  const auto expect_rejected = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("256"), std::string::npos)
+        << status.ToString();
+  };
+  expect_rejected(PatternCodec::Build(schema).status());
 
   Dataset data(schema);
   std::vector<Value> row(wide.size(), 0);
@@ -387,13 +461,25 @@ TEST(PackedFallback, WideSchemaRoutesToLegacy) {
   const BitmapCoverage oracle(agg);
   MupSearchOptions options{.tau = 1};
   options.max_level = 1;
-  const auto mups = FindMupsPatternBreaker(oracle, options);
-  EXPECT_FALSE(mups.empty());
+  for (const MupAlgorithm algorithm :
+       {MupAlgorithm::kPatternBreaker, MupAlgorithm::kDeepDiver,
+        MupAlgorithm::kPatternCombiner, MupAlgorithm::kApriori,
+        MupAlgorithm::kAuto}) {
+    SCOPED_TRACE(ToString(algorithm));
+    expect_rejected(FindMups(algorithm, oracle, options).status());
+    expect_rejected(FindMupsPacked(algorithm, oracle, options).status());
+  }
+  expect_rejected(FindMupsPatternCombiner(oracle, options).status());
+  expect_rejected(FindMupsApriori(oracle, options).status());
 
-  // The packed dispatch reports the capacity failure explicitly.
-  auto packed = FindMupsPacked(MupAlgorithm::kPatternBreaker, oracle, options);
-  EXPECT_FALSE(packed.ok());
-  EXPECT_EQ(packed.status().code(), StatusCode::kResourceExhausted);
+  expect_rejected(CoverageService::FromDataset(data).status());
+  expect_rejected(CoverageService::OpenSession(schema).status());
+
+  EngineImage image;
+  image.schema = schema;
+  image.agg_cells.assign(data.row(0).begin(), data.row(0).end());
+  image.agg_counts = {1};
+  expect_rejected(CoverageEngine::Restore(std::move(image)).status());
 }
 
 }  // namespace

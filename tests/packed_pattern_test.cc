@@ -172,7 +172,7 @@ TEST(PackedPattern, CapacityLimit) {
       PatternCodec::Build(Schema::Uniform(std::vector<int>(128, 2))).ok());
   auto over = PatternCodec::Build(Schema::Uniform(std::vector<int>(129, 2)));
   EXPECT_FALSE(over.ok());
-  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PackedPattern, ZeroAttributeSchema) {

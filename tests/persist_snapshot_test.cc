@@ -9,7 +9,9 @@
 
 #include "dataset/dataset.h"
 #include "dataset/schema.h"
+#include "engine/coverage_engine.h"
 #include "persist/codec.h"
+#include "persist/durable_engine.h"
 #include "persist/fault_fs.h"
 #include "persist/wal.h"
 
@@ -205,6 +207,40 @@ TEST_F(SnapshotTest, ImageRoundtripsThroughFile) {
   EXPECT_EQ(back->mups, image.mups);
   ASSERT_EQ(back->window_batches.size(), 1u);
   EXPECT_EQ(back->window_batches[0].num_rows(), 2u);
+}
+
+TEST_F(SnapshotTest, WideSchemaSnapshotIsRefusedOnReopen) {
+  // 50 binary attributes (2 packed bits each) plus 160 cardinality-1
+  // attributes (1 bit each) need 260 bits, over the 256-bit packed pattern
+  // limit. Sessions written before maintenance became packed-only could
+  // hold such a schema; the snapshot still reads, but neither Restore nor
+  // Recover reopens it.
+  std::vector<int> wide(50, 2);
+  wide.insert(wide.end(), 160, 1);
+  EngineImage image;
+  image.schema = Schema::Uniform(wide);
+  image.options.tau = 2;
+  image.epoch = 3;
+  image.agg_cells.assign(wide.size(), Value{0});
+  image.agg_counts = {1};
+  image.mups = {Pattern::Root(static_cast<int>(wide.size()))};
+
+  FileSystem* fs = FileSystem::Default();
+  ASSERT_TRUE(fs->CreateDirs(dir_).ok());
+  ASSERT_TRUE(WriteSnapshotFile(fs, dir_, image).ok());
+  auto read = ReadSnapshotFile(fs, dir_ + "/" + SnapshotFileName(3));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+
+  const auto expect_refused = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("256-bit"), std::string::npos)
+        << status.ToString();
+  };
+  expect_refused(CoverageEngine::Restore(std::move(*read)).status());
+  expect_refused(
+      DurableEngine::Recover(dir_, EngineOptions{}, DurableEngineOptions{})
+          .status());
 }
 
 TEST_F(SnapshotTest, CorruptByteAnywhereIsDetected) {

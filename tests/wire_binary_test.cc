@@ -1,6 +1,6 @@
-// Wire v2 (server/wire_binary.h): exact round-trips on both MUP
-// representations (packed sparse-cells and legacy pattern strings), the
-// ToJson byte-identity contract, strict rejection of damaged frames, a
+// Wire v2 (server/wire_binary.h): exact round-trips from both MUP
+// representations (packed and materialized, both sent as sparse cells),
+// the ToJson byte-identity contract, strict rejection of damaged frames, a
 // seeded mutation fuzz over the decoders, the >= 60% size win over the
 // canonical JSON on a large MUP set, and Accept-header negotiation end to
 // end through CoverageServer + HttpClient.
@@ -84,22 +84,25 @@ TEST(WireBinary, AuditRoundTripPackedIsByteIdenticalInJson) {
             CanonicalJson(*result, service.schema()));
 }
 
-TEST(WireBinary, AuditRoundTripLegacyIsByteIdenticalInJson) {
+TEST(WireBinary, AuditRoundTripMaterializedIsByteIdenticalInJson) {
   const CoverageService service = MakeCompasService();
   AuditRequest request;
   request.tau = 30;
   auto result = service.Audit(request);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->mups.empty());
-  // Drop the packed set: this is the legacy shape (schemas too wide for
-  // PatternCodec), which travels as pattern strings (kind 2).
+  ASSERT_TRUE(result->packed.has_value());
+  const std::string from_packed = wire::EncodeAuditResultBinary(*result);
+  // Drop the packed set: the materialized-only shape Session::Audit and the
+  // coordinator produce. It travels as the same sparse cells.
   result->packed.reset();
 
   const std::string bytes = wire::EncodeAuditResultBinary(*result);
+  EXPECT_EQ(bytes, from_packed);
   auto decoded = wire::DecodeAuditResultBinary(bytes, service.schema());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_FALSE(decoded->packed.has_value());
-  ASSERT_EQ(decoded->mups.size(), result->mups.size());
+  ASSERT_TRUE(decoded->packed.has_value());
+  EXPECT_EQ(decoded->packed->Materialize(), result->mups);
   EXPECT_EQ(CanonicalJson(*decoded, service.schema()),
             CanonicalJson(*result, service.schema()));
 }
@@ -206,6 +209,20 @@ TEST(WireBinary, RejectsDamagedFrames) {
                    .ok());
   EXPECT_FALSE(wire::DecodeAuditResultBinary("", service.schema()).ok());
   EXPECT_FALSE(wire::DecodeQueryBatchResultBinary(good).ok());  // wrong type
+
+  // A well-framed audit whose MUP kind byte says 2, the retired
+  // pattern-string encoding. The kind byte follows the frame header, the
+  // two length-prefixed strings, max_level, num_rows, five stats words and
+  // tau.
+  const std::size_t kind_at = 10 + 8 + result->algorithm.size() + 8 + 8 +
+                              8 + result->planner_rationale.size() + 5 * 8 + 8;
+  ASSERT_EQ(good[kind_at], 1);
+  std::string payload = good.substr(10);
+  payload[kind_at - 10] = 2;
+  const auto kind2 = wire::DecodeAuditResultBinary(
+      wire::FrameBinaryMessage(1, payload), service.schema());
+  EXPECT_EQ(kind2.status().code(), StatusCode::kInvalidArgument)
+      << kind2.status().ToString();
 }
 
 TEST(WireBinary, SeededMutationFuzzNeverCrashes) {
